@@ -1,9 +1,9 @@
-// Package bench holds the hot-path micro-benchmark suite that seeds the
-// performance trajectory (BENCH_sweep.json). Unlike the repo-root
-// benchmarks, which regenerate whole paper artifacts, these isolate the
+// Package bench holds the repository's micro-benchmark suite, the
+// source of the CI artifact BENCH_sweep.json. The benchmarks isolate the
 // per-operation costs the optimization work targets: heap operations,
-// MultiPrio PUSH/POP, Dmdas PUSH, the simulator event loop, and STF
-// dependency inference.
+// MultiPrio PUSH/POP, Dmdas PUSH, the simulator event loop, STF
+// dependency inference, FMM graph construction, and the threaded engine
+// on live kernels.
 //
 // Every benchmark does a fixed batch of work per iteration (a whole
 // graph pushed, a whole heap drained), so a single iteration is already
@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"multiprio/internal/apps/dense"
+	"multiprio/internal/apps/fmm"
 	"multiprio/internal/apps/randdag"
 	"multiprio/internal/core"
 	"multiprio/internal/heap"
@@ -29,6 +30,7 @@ import (
 	"multiprio/internal/sched/dmdas"
 	"multiprio/internal/sched/eager"
 	"multiprio/internal/sched/heft"
+	"multiprio/internal/sched/registry"
 	"multiprio/internal/sim"
 	"multiprio/internal/telemetry"
 )
@@ -229,7 +231,11 @@ func BenchmarkSimEventLoop(b *testing.B) {
 		b.StopTimer()
 		g.ResetRun()
 		b.StartTimer()
-		if _, err := sim.Run(m, g, eager.New(), sim.Options{}); err != nil {
+		eng, err := sim.NewEngine(m, eager.New())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.Run(g); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -248,7 +254,11 @@ func BenchmarkSimEventLoopObserved(b *testing.B) {
 		g.ResetRun()
 		probe := obs.Multi{&obs.DecisionLog{}, obs.NewMetrics()}
 		b.StartTimer()
-		if _, err := sim.Run(m, g, eager.New(), sim.Options{Probe: probe}); err != nil {
+		eng, err := sim.NewEngine(m, eager.New(), runtime.WithProbe(probe))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.Run(g); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -270,7 +280,11 @@ func BenchmarkSimEventLoopTelemetry(b *testing.B) {
 		b.StopTimer()
 		g.ResetRun()
 		b.StartTimer()
-		if _, err := sim.Run(m, g, eager.New(), sim.Options{Observer: p}); err != nil {
+		eng, err := sim.NewEngine(m, eager.New(), runtime.WithObserver(p))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.Run(g); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -364,7 +378,11 @@ func BenchmarkSimThroughput1e5(b *testing.B) {
 		b.StopTimer()
 		g.ResetRun()
 		b.StartTimer()
-		res, err := sim.Run(m, g, eager.New(), sim.Options{Seed: 7})
+		eng, err := sim.NewEngine(m, eager.New(), runtime.WithSeed(7))
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := eng.Run(g)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -398,4 +416,44 @@ func BenchmarkHEFTPlan1e4(b *testing.B) {
 		tasks += len(g.Tasks)
 	}
 	b.ReportMetric(float64(tasks)/b.Elapsed().Seconds(), "tasks/s")
+}
+
+// BenchmarkFMMGraphConstruction measures the FMM builder (octree, group
+// tree and task graph) on 10^5 particles.
+func BenchmarkFMMGraphConstruction(b *testing.B) {
+	m := platform.IntelV100(platform.Config{})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g := fmm.Build(fmm.Params{Particles: 100_000, Height: 5, Machine: m, Seed: 1})
+		if len(g.Tasks) == 0 {
+			b.Fatal("empty graph")
+		}
+	}
+}
+
+// BenchmarkThreadedEngine measures the goroutine engine under multiprio
+// on a small tiled Cholesky with live kernels. Every iteration checks
+// the factorization residual, so a fast but wrong run fails.
+func BenchmarkThreadedEngine(b *testing.B) {
+	m := platform.CPUOnly(4)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		g, verify := dense.CholeskyWithKernels(dense.Params{Tiles: 4, TileSize: 32, Machine: m}, int64(i))
+		s, err := registry.New("multiprio", registry.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng, err := runtime.NewThreadedEngine(m, s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := eng.Run(g); err != nil {
+			b.Fatal(err)
+		}
+		if err := verify(1e-6); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -39,7 +39,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := sim.Run(m, g, s, sim.Options{})
+		eng, err := sim.NewEngine(m, s)
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := eng.Run(g)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -155,7 +155,11 @@ func TestCholeskySimulatesOnAllRoutines(t *testing.T) {
 	} {
 		p := Params{Tiles: 6, TileSize: 640, Machine: m}
 		g := build(p)
-		res, err := sim.Run(m, g, eager.New(), sim.Options{})
+		eng, err := sim.NewEngine(m, eager.New())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		res, err := eng.Run(g)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -169,7 +173,11 @@ func TestMultiPrioSchedulesCholesky(t *testing.T) {
 	m := platform.IntelV100(platform.Config{})
 	p := Params{Tiles: 8, TileSize: 960, Machine: m}
 	g := Cholesky(p)
-	res, err := sim.Run(m, g, core.New(core.Defaults()), sim.Options{})
+	eng, err := sim.NewEngine(m, core.New(core.Defaults()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +195,10 @@ func TestMultiPrioSchedulesCholesky(t *testing.T) {
 func TestRealKernelsFactorCorrectly(t *testing.T) {
 	p := Params{Tiles: 3, TileSize: 16, Machine: platform.CPUOnly(4)}
 	g, verify := CholeskyWithKernels(p, 7)
-	eng := &runtime.ThreadedEngine{Machine: platform.CPUOnly(4), Sched: eager.New()}
+	eng, err := runtime.NewThreadedEngine(platform.CPUOnly(4), eager.New())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := eng.Run(g); err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +278,11 @@ func TestHierarchicalCholeskySimulates(t *testing.T) {
 	m := platform.IntelV100(platform.Config{})
 	p := HierParams{Blocks: 3, SubTiles: 4, TileSize: 480, Machine: m}
 	g := HierarchicalCholesky(p)
-	res, err := sim.Run(m, g, core.New(core.Defaults()), sim.Options{})
+	eng, err := sim.NewEngine(m, core.New(core.Defaults()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}

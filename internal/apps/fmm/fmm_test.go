@@ -146,7 +146,11 @@ func TestSimulatesUnderSchedulers(t *testing.T) {
 	p.Machine = m
 	for _, s := range []runtime.Scheduler{core.New(core.Defaults()), eager.New()} {
 		g := Build(p)
-		res, err := sim.Run(m, g, s, sim.Options{})
+		eng, err := sim.NewEngine(m, s)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name(), err)
+		}
+		res, err := eng.Run(g)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -192,7 +196,11 @@ func TestUseCommuteSimulates(t *testing.T) {
 	p.Machine = m
 	p.UseCommute = true
 	g := Build(p)
-	res, err := sim.Run(m, g, core.New(core.Defaults()), sim.Options{})
+	eng, err := sim.NewEngine(m, core.New(core.Defaults()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"multiprio/internal/core"
 	"multiprio/internal/platform"
+	"multiprio/internal/runtime"
 	"multiprio/internal/sched/eager"
 	"multiprio/internal/sim"
 )
@@ -101,12 +102,17 @@ func TestQuickAlwaysSchedulable(t *testing.T) {
 		if g.Validate() != nil {
 			return false
 		}
-		if _, err := sim.Run(m, g, core.New(core.Defaults()), sim.Options{}); err != nil {
-			return false
+		for _, s := range []runtime.Scheduler{core.New(core.Defaults()), eager.New()} {
+			eng, err := sim.NewEngine(m, s)
+			if err != nil {
+				return false
+			}
+			if _, err := eng.Run(g); err != nil {
+				return false
+			}
+			g.ResetRun()
 		}
-		g.ResetRun()
-		_, err := sim.Run(m, g, eager.New(), sim.Options{})
-		return err == nil
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)

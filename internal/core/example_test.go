@@ -24,7 +24,11 @@ func Example() {
 		// 10ms, CPU only.
 		g.Submit(&runtime.Task{Kind: "host", Cost: []float64{0.01}})
 	}
-	res, err := sim.Run(m, g, core.New(core.Defaults()), sim.Options{})
+	eng, err := sim.NewEngine(m, core.New(core.Defaults()))
+	if err != nil {
+		panic(err)
+	}
+	res, err := eng.Run(g)
 	if err != nil {
 		panic(err)
 	}

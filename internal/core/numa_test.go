@@ -30,7 +30,11 @@ func TestMultiPrioOnNUMA(t *testing.T) {
 	m := platform.NUMANode(2, 4, 0)
 	g := runtime.NewGraph()
 	numaGraph(g, 40)
-	res, err := sim.Run(m, g, New(Defaults()), sim.Options{})
+	eng, err := sim.NewEngine(m, New(Defaults()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +46,11 @@ func TestMultiPrioOnNUMA(t *testing.T) {
 	// Sanity against a trivial policy: no pathological slowdown.
 	g2 := runtime.NewGraph()
 	numaGraph(g2, 40)
-	ref, err := sim.Run(m, g2, eager.New(), sim.Options{})
+	eng, err = sim.NewEngine(m, eager.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := eng.Run(g2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,7 +109,11 @@ func TestTriArchEndToEnd(t *testing.T) {
 	}
 	for _, sched := range []runtime.Scheduler{New(Defaults()), eager.New()} {
 		g.ResetRun()
-		res, err := sim.Run(m, g, sched, sim.Options{})
+		eng, err := sim.NewEngine(m, sched)
+		if err != nil {
+			t.Fatalf("%s: %v", sched.Name(), err)
+		}
+		res, err := eng.Run(g)
 		if err != nil {
 			t.Fatalf("%s: %v", sched.Name(), err)
 		}

@@ -82,7 +82,17 @@ func runOne(m *platform.Machine, g *runtime.Graph, schedName string, seed int64)
 	if err != nil {
 		return nil, err
 	}
-	return sim.Run(m, g, s, sim.Options{Seed: seed, Observer: Observer()})
+	return simulate(m, g, s, runtime.WithSeed(seed), runtime.WithObserver(Observer()))
+}
+
+// simulate builds a simulator engine for m and s with opts and runs g
+// on it.
+func simulate(m *platform.Machine, g *runtime.Graph, s runtime.Scheduler, opts ...runtime.Option) (*sim.Result, error) {
+	eng, err := sim.NewEngine(m, s, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return eng.Run(g)
 }
 
 // gflops converts a flop count and a runtime to GFlop/s.

@@ -102,9 +102,11 @@ func RunFaults(scale Scale, progress io.Writer) (*FaultsResult, error) {
 				return nil, nil, err
 			}
 			g := w.build()
-			res, err := sim.Run(m, g, s, sim.Options{
-				Seed: seed, CollectMemEvents: plan != nil, Faults: plan,
-			})
+			opts := []runtime.Option{runtime.WithSeed(seed), runtime.WithFaultPlan(plan)}
+			if plan != nil {
+				opts = append(opts, runtime.WithMemEvents())
+			}
+			res, err := simulate(m, g, s, opts...)
 			return g, res, err
 		}
 		_, base, err := run(nil)

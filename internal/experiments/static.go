@@ -172,10 +172,11 @@ func RunStatic(scale Scale, fallback string, progress io.Writer) (*StaticResult,
 				return nil, nil, nil, err
 			}
 			g := w.build()
-			res, err := sim.Run(m, g, s, sim.Options{
-				Seed: seed, CollectMemEvents: plan != nil, Faults: plan,
-				Observer: Observer(),
-			})
+			opts := []runtime.Option{runtime.WithSeed(seed), runtime.WithFaultPlan(plan), runtime.WithObserver(Observer())}
+			if plan != nil {
+				opts = append(opts, runtime.WithMemEvents())
+			}
+			res, err := simulate(m, g, s, opts...)
 			return g, res, hs, err
 		}
 		// Fault-free baselines per mode; the static baseline fixes the

@@ -15,6 +15,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"multiprio/internal/platform"
@@ -123,6 +124,46 @@ type Plan struct {
 // mitigation machinery.
 func (p *Plan) Empty() bool {
 	return p == nil || (len(p.Events) == 0 && p.ModelNoise == 0 && !p.Speculation.Enabled)
+}
+
+// Validate checks the plan against machine m: kill and slowdown targets
+// must be units of m and transfer-failure endpoints its memory nodes;
+// every At must be finite and non-negative, every window must close no
+// earlier than it opens, and every slowdown factor must be positive. A
+// nil plan is valid. The engine constructors call it, so a plan naming
+// hardware the machine lacks fails up front instead of mid-run.
+func (p *Plan) Validate(m *platform.Machine) error {
+	if p == nil {
+		return nil
+	}
+	for i, e := range p.Events {
+		if e.At < 0 || math.IsNaN(e.At) || math.IsInf(e.At, 0) {
+			return fmt.Errorf("fault: event %d (%s): time %g is not finite and >= 0", i, e.Kind, e.At)
+		}
+		switch e.Kind {
+		case KillWorker, SlowWorker:
+			if e.Worker < 0 || int(e.Worker) >= len(m.Units) {
+				return fmt.Errorf("fault: event %d (%s): worker %d out of range (machine %q has %d units)",
+					i, e.Kind, e.Worker, m.Name, len(m.Units))
+			}
+		case FailTransfer:
+			for _, mem := range []platform.MemID{e.Src, e.Dst} {
+				if mem < 0 || int(mem) >= len(m.Mems) {
+					return fmt.Errorf("fault: event %d (%s): memory node %d out of range (machine %q has %d)",
+						i, e.Kind, mem, m.Name, len(m.Mems))
+				}
+			}
+		default:
+			return fmt.Errorf("fault: event %d: unknown kind %s", i, e.Kind)
+		}
+		if e.Kind != KillWorker && !(e.Until >= e.At) {
+			return fmt.Errorf("fault: event %d (%s): window closes at %g before it opens at %g", i, e.Kind, e.Until, e.At)
+		}
+		if e.Kind == SlowWorker && !(e.Factor > 0) {
+			return fmt.Errorf("fault: event %d (%s): factor %g is not positive", i, e.Kind, e.Factor)
+		}
+	}
+	return nil
 }
 
 // SpecPolicy returns the plan's speculation policy (zero for nil plans).

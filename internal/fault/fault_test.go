@@ -3,6 +3,7 @@ package fault
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"multiprio/internal/perfmodel"
@@ -215,5 +216,59 @@ func TestNoisyEstimatorDeterministicAndBounded(t *testing.T) {
 	}
 	if v, ok := n.Estimate("gemm", 0, 960, nil); ok || v != 0 {
 		t.Error("missing base estimate must stay missing")
+	}
+}
+
+func TestPlanValidate(t *testing.T) {
+	m := testMachine(t)
+	units, mems := platform.UnitID(len(m.Units)), platform.MemID(len(m.Mems))
+	inf := math.Inf(1)
+	cases := []struct {
+		name string
+		ev   Event
+		want string // error substring; empty means valid
+	}{
+		{"kill", Event{Kind: KillWorker, Worker: units - 1, At: 0.5}, ""},
+		{"kill at zero", Event{Kind: KillWorker, Worker: 0}, ""},
+		{"kill past last unit", Event{Kind: KillWorker, Worker: units}, "worker"},
+		{"kill negative unit", Event{Kind: KillWorker, Worker: -1}, "worker"},
+		{"kill negative time", Event{Kind: KillWorker, At: -1}, "time"},
+		{"kill NaN time", Event{Kind: KillWorker, At: math.NaN()}, "time"},
+		{"kill infinite time", Event{Kind: KillWorker, At: inf}, "time"},
+		{"slow", Event{Kind: SlowWorker, Worker: 1, At: 1, Until: 2, Factor: 4}, ""},
+		{"slow open-ended", Event{Kind: SlowWorker, At: 1, Until: inf, Factor: 4}, ""},
+		{"slow empty window", Event{Kind: SlowWorker, At: 1, Until: 1, Factor: 4}, ""},
+		{"slow past last unit", Event{Kind: SlowWorker, Worker: units + 5, Until: 1, Factor: 4}, "worker"},
+		{"slow inverted window", Event{Kind: SlowWorker, At: 2, Until: 1, Factor: 4}, "window"},
+		{"slow NaN until", Event{Kind: SlowWorker, Until: math.NaN(), Factor: 4}, "window"},
+		{"slow zero factor", Event{Kind: SlowWorker, Until: 1}, "factor"},
+		{"slow negative factor", Event{Kind: SlowWorker, Until: 1, Factor: -2}, "factor"},
+		{"xfail", Event{Kind: FailTransfer, Src: 0, Dst: mems - 1, Until: 1}, ""},
+		{"xfail bad src", Event{Kind: FailTransfer, Src: mems, Dst: 0, Until: 1}, "memory node"},
+		{"xfail bad dst", Event{Kind: FailTransfer, Src: 0, Dst: -1, Until: 1}, "memory node"},
+		{"xfail inverted window", Event{Kind: FailTransfer, Src: 0, Dst: 1, At: 3, Until: 1}, "window"},
+		{"unknown kind", Event{At: 1}, "unknown kind"},
+	}
+	for _, c := range cases {
+		p := &Plan{Events: []Event{{Kind: KillWorker, Worker: 0, At: 9}, c.ev}}
+		err := p.Validate(m)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: valid plan rejected: %v", c.name, err)
+		case c.want != "" && err == nil:
+			t.Errorf("%s: invalid plan accepted", c.name)
+		case c.want != "" && !strings.Contains(err.Error(), c.want):
+			t.Errorf("%s: err = %v, want mention of %q", c.name, err, c.want)
+		}
+	}
+	var nilPlan *Plan
+	if err := nilPlan.Validate(m); err != nil {
+		t.Errorf("nil plan rejected: %v", err)
+	}
+	for seed := uint64(0); seed < 20; seed++ {
+		p := Generate(m, Spec{Seed: seed, Horizon: 10, Kills: 3, Slowdowns: 3, TransferFaults: 3, ModelNoise: 0.1})
+		if err := p.Validate(m); err != nil {
+			t.Errorf("generated plan (seed %d) rejected: %v", seed, err)
+		}
 	}
 }

@@ -32,9 +32,9 @@ func runClusterSim(t *testing.T) (*runtime.Graph, *sim.Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(m, g, sched, sim.Options{Seed: 7, CollectMemEvents: true})
+	res, err := simRun(m, g, sched, runtime.WithSeed(7), runtime.WithMemEvents())
 	if err != nil {
-		t.Fatalf("sim.Run: %v", err)
+		t.Fatalf("simulation: %v", err)
 	}
 	return g, res
 }
@@ -132,9 +132,9 @@ func TestClusterReplaySkipsSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(m, g, sched, sim.Options{Seed: 7, CollectMemEvents: true})
+	res, err := simRun(m, g, sched, runtime.WithSeed(7), runtime.WithMemEvents())
 	if err != nil {
-		t.Fatalf("sim.Run: %v", err)
+		t.Fatalf("simulation: %v", err)
 	}
 	if err := Check(g, res.Trace, Options{OverflowBytes: res.OverflowBytes}); err != nil {
 		t.Fatalf("oracle rejected a single-node distrib run: %v", err)

@@ -44,13 +44,23 @@ func testGraph() *runtime.Graph {
 	return g
 }
 
+// simRun builds a simulator engine for m and s with opts and runs g on
+// it: NewEngine then Run, with either error returned.
+func simRun(m *platform.Machine, g *runtime.Graph, s runtime.Scheduler, opts ...runtime.Option) (*sim.Result, error) {
+	eng, err := sim.NewEngine(m, s, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return eng.Run(g)
+}
+
 // runSim executes the test graph in the simulator with memory events on.
 func runSim(t *testing.T) (*runtime.Graph, *sim.Result) {
 	t.Helper()
 	g := testGraph()
-	res, err := sim.Run(testMachine(t), g, core.New(core.Defaults()), sim.Options{
-		Seed: 1, CollectMemEvents: true,
-	})
+	res, err := simRun(testMachine(t), g, core.New(core.Defaults()),
+		runtime.WithSeed(1), runtime.WithMemEvents(),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +80,10 @@ func TestCheckPassesOnSimulatedRun(t *testing.T) {
 func TestCheckPassesOnThreadedRun(t *testing.T) {
 	m := platform.CPUOnly(4)
 	g := testGraph()
-	eng := &runtime.ThreadedEngine{Machine: m, Sched: core.New(core.Defaults())}
+	eng, err := runtime.NewThreadedEngine(m, core.New(core.Defaults()))
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := eng.Run(g)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +202,7 @@ func TestCheckDetectsCapacityOverrun(t *testing.T) {
 		accs = append(accs, runtime.Access{Handle: h, Mode: runtime.RW})
 	}
 	g.Submit(&runtime.Task{Kind: "hog", Cost: []float64{0.01, 0.001}, Accesses: accs})
-	res, err := sim.Run(m, g, core.New(core.Defaults()), sim.Options{CollectMemEvents: true})
+	res, err := simRun(m, g, core.New(core.Defaults()), runtime.WithMemEvents())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,7 +134,10 @@ func TestCommuteMutualExclusionThreaded(t *testing.T) {
 			},
 		})
 	}
-	eng := &ThreadedEngine{Machine: platform.CPUOnly(8), Sched: &fifoSched{}}
+	eng, err := NewThreadedEngine(platform.CPUOnly(8), &fifoSched{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := eng.Run(g); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +176,10 @@ func TestCommuteDistinctHandlesRunConcurrently(t *testing.T) {
 		<-done
 		close(release)
 	}()
-	eng := &ThreadedEngine{Machine: platform.CPUOnly(4), Sched: &fifoSched{}}
+	eng, err := NewThreadedEngine(platform.CPUOnly(4), &fifoSched{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := eng.Run(g); err != nil {
 		t.Fatal(err)
 	}

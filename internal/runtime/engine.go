@@ -81,17 +81,6 @@ type StreamStatsReporter interface {
 	StreamStats() StreamStats
 }
 
-// StreamStatsOf snapshots the scheduler's admission statistics, or nil
-// when the scheduler does not report them. Both engines call it when
-// assembling a Result.
-func StreamStatsOf(s Scheduler) *StreamStats {
-	if r, ok := s.(StreamStatsReporter); ok {
-		ss := r.StreamStats()
-		return &ss
-	}
-	return nil
-}
-
 // WorkerStat is the per-worker execution summary of a Result.
 type WorkerStat struct {
 	Unit platform.UnitID
@@ -138,8 +127,12 @@ type FaultStats struct {
 	AppliedKills []AppliedKill
 }
 
-// RunConfig collects the engine-agnostic run parameters. Engines read
-// the fields they implement and ignore the rest.
+// RunConfig collects the run parameters of both engines. It is filled
+// only through the With… options handed to sim.NewEngine or
+// NewThreadedEngine. Engines read the fields they implement and ignore
+// the rest: in particular the simulator shows schedulers Estimator and
+// only records into History, while the threaded engine shows them
+// History and ignores Estimator.
 type RunConfig struct {
 	// Seed drives the engine's own randomness (execution-time noise).
 	Seed int64
@@ -149,29 +142,42 @@ type RunConfig struct {
 	// Estimator is what schedulers see as the performance model. Nil
 	// defaults to perfmodel.Oracle.
 	Estimator perfmodel.Estimator
-	// History, when non-nil, receives every observed execution time.
+	// History, when non-nil, receives every observed execution time
+	// (normalized by the unit speed factor; successful attempts only).
+	// The threaded engine also estimates from it, so schedulers learn
+	// from real measurements on subsequent runs; in the simulator, pass
+	// it as Estimator too to model online calibration.
 	History *perfmodel.History
 	// CollectMemEvents records replica state changes in the trace for
 	// the execution oracle's coherence replay (simulator only).
 	CollectMemEvents bool
 	// MaxEvents aborts runaway simulations; 0 means a generous default.
 	MaxEvents int64
-	// Lookahead is the per-worker task pipeline depth of the simulator
-	// (one computing plus lookahead-1 staging slots). Default 2.
-	Lookahead int
+	// Pipeline is the number of tasks a simulated worker may hold at
+	// once: one computing plus Pipeline-1 lookahead slots whose data
+	// transfers overlap the current compute, as StarPU workers do.
+	// Default 2.
+	Pipeline int
 	// CollectTrace keeps transfer spans in the simulator trace. Span and
 	// idle accounting are always on; this flag only adds the per-transfer
 	// records that the transfer-inspection experiments read.
 	CollectTrace bool
-	// Probe receives scheduler decision events and engine counters.
+	// Probe receives scheduler decision events and engine counters. The
+	// simulator stamps them with virtual time and its linearization
+	// sequence, which probes read without advancing, so the canonical
+	// trace is byte-identical with and without one. The threaded engine
+	// has no sequencer: its stamps are wall-clock seconds with Seq 0.
 	Probe obs.Probe
 	// Faults, when non-nil and non-empty, injects the fault plan into
 	// the run and enables recovery (rollback + retry). The plan also
-	// carries the speculation policy (straggler replication).
+	// carries the speculation policy (straggler replication). The
+	// threaded engine applies kills with wall-clock timers and slowdown
+	// windows at kernel start; transfer failures are simulator only.
 	Faults *fault.Plan
 	// Watchdog, when its Deadline is set, aborts a wedged run and dumps
 	// diagnostics (decision-log tail, per-worker state) instead of
-	// letting it hang silently.
+	// letting it hang silently. In the threaded engine the goroutine of
+	// a truly wedged kernel cannot be killed and is leaked.
 	Watchdog Watchdog
 	// Arrivals, when non-nil, turns the run into a streaming run: entry
 	// i is the submission time of task i (virtual seconds for the
@@ -179,7 +185,9 @@ type RunConfig struct {
 	// engine never offers a task to the scheduler before both its
 	// dependencies are released and its arrival time has passed. Nil —
 	// or all zeros — is batch mode: the whole graph is available at
-	// t=0. The length must equal the task count.
+	// t=0. The length must equal the task count. The simulator releases
+	// arrivals as discrete events, so streamed runs stay deterministic
+	// and an all-zero plan is byte-identical to batch mode.
 	Arrivals []float64
 	// Observer, when non-nil, receives the run lifecycle: RunStart
 	// before the scheduler initializes, every probe event during the
@@ -203,10 +211,11 @@ type RunInfo struct {
 }
 
 // RunObserver extends obs.Probe with run lifecycle hooks: engines call
-// RunStart after validating the graph and RunEnd exactly once per Run
-// with the Result (nil on failure) and the run error. Observation must
-// stay read-only: the canonical-trace goldens are byte-identical with
-// an observer attached, exactly as for plain probes.
+// RunStart as a run begins, before the graph is validated, and RunEnd
+// exactly once per Run with the Result (nil on failure) and the run
+// error. Observation must stay read-only: the canonical-trace goldens
+// are byte-identical with an observer attached, exactly as for plain
+// probes.
 type RunObserver interface {
 	obs.Probe
 	RunStart(info RunInfo)
@@ -239,14 +248,8 @@ func WithMemEvents() Option { return func(c *RunConfig) { c.CollectMemEvents = t
 func WithMaxEvents(n int64) Option { return func(c *RunConfig) { c.MaxEvents = n } }
 
 // WithPipeline sets the simulator's per-worker pipeline depth (one
-// computing plus n-1 staging slots). This is the canonical spelling —
-// it matches the simulator's own Pipeline option.
-func WithPipeline(n int) Option { return func(c *RunConfig) { c.Lookahead = n } }
-
-// WithLookahead sets the simulator's per-worker pipeline depth.
-//
-// Deprecated: use WithPipeline; kept for compatibility.
-func WithLookahead(n int) Option { return WithPipeline(n) }
+// computing plus n-1 staging slots).
+func WithPipeline(n int) Option { return func(c *RunConfig) { c.Pipeline = n } }
 
 // WithTransferSpans keeps per-transfer spans in the simulator trace
 // (span and idle accounting are always recorded regardless).
@@ -286,9 +289,17 @@ func WithArrivals(at []float64) Option {
 	return func(c *RunConfig) { c.Arrivals = at }
 }
 
+// ArrivalOf returns the streaming arrival time of t (0 in batch mode).
+func (c *RunConfig) ArrivalOf(t *Task) float64 {
+	if c.Arrivals == nil {
+		return 0
+	}
+	return c.Arrivals[t.ID]
+}
+
 // ValidateArrivals checks an arrival plan against a graph: the plan
 // must cover every task exactly, and every time must be finite and
-// non-negative. Both engines call it before running a streaming graph.
+// non-negative. RunConfig.Begin calls it for both engines.
 func ValidateArrivals(at []float64, g *Graph) error {
 	if at == nil {
 		return nil
@@ -304,14 +315,131 @@ func ValidateArrivals(at []float64, g *Graph) error {
 	return nil
 }
 
-// BuildRunConfig applies opts over the zero config. Engine constructors
-// share it.
-func BuildRunConfig(opts []Option) RunConfig {
+// NewRunConfig is the construction path both engine constructors
+// share: it rejects a nil machine or scheduler, applies opts over the
+// zero config, and validates the fault plan against m. who prefixes
+// the errors.
+func NewRunConfig(who string, m *platform.Machine, s Scheduler, opts []Option) (RunConfig, error) {
 	var c RunConfig
+	if m == nil {
+		return c, fmt.Errorf("%s: nil machine", who)
+	}
+	if s == nil {
+		return c, fmt.Errorf("%s: nil scheduler", who)
+	}
 	for _, o := range opts {
 		o(&c)
 	}
-	return c
+	if err := c.Faults.Validate(m); err != nil {
+		return RunConfig{}, fmt.Errorf("%s: %w", who, err)
+	}
+	return c, nil
+}
+
+// RunScope is the run bracket both engines share around one graph:
+// Begin opens it, End closes it, and in between it carries what both
+// engines derive alike from the config.
+type RunScope struct {
+	// Faults is the run's fault plan, nil when the configured plan
+	// injects nothing.
+	Faults *fault.Plan
+	// Probe is the configured Probe fanned in with the Observer, and
+	// with the watchdog's decision tail when armed. Nil when nothing
+	// observes the run.
+	Probe obs.Probe
+	// Tail is the watchdog's decision tail (nil unless armed).
+	Tail *DecisionTail
+	// Spec is the speculation controller NewSpec built; nil unless the
+	// plan enables speculation.
+	Spec *spec.Controller
+
+	observer RunObserver
+	machine  *platform.Machine
+	graph    *Graph
+	sched    Scheduler
+}
+
+// Begin opens the run bracket of g on machine m under scheduler s:
+// RunStart to the Observer, then graph and arrival validation, fault
+// plan normalisation and probe fan-in. engine names the executing
+// engine in RunInfo. On a validation error the Observer sees RunEnd at
+// once and Begin returns the error.
+func (c *RunConfig) Begin(engine string, m *platform.Machine, g *Graph, s Scheduler) (*RunScope, error) {
+	sc := &RunScope{Faults: c.Faults, Probe: c.Probe, observer: c.Observer, machine: m, graph: g, sched: s}
+	if sc.Faults.Empty() {
+		sc.Faults = nil
+	}
+	if o := c.Observer; o != nil {
+		sc.Probe = obs.Combine(sc.Probe, o)
+		o.RunStart(RunInfo{Machine: m, Tasks: len(g.Tasks), Scheduler: s.Name(), Engine: engine})
+	}
+	err := g.Validate()
+	if err == nil {
+		err = ValidateArrivals(c.Arrivals, g)
+	}
+	if err != nil {
+		sc.End(nil, err)
+		return nil, err
+	}
+	if c.Watchdog.Armed() {
+		// Probes are behaviour-neutral by construction, so arming the
+		// watchdog never perturbs the trace.
+		sc.Tail = NewDecisionTail(c.Watchdog.TailLen())
+		sc.Probe = obs.Combine(sc.Probe, sc.Tail)
+	}
+	return sc, nil
+}
+
+// Model returns the performance model schedulers see: base, wrapped in
+// the plan's deterministic misprediction when it sets ModelNoise.
+func (sc *RunScope) Model(base perfmodel.Estimator) perfmodel.Estimator {
+	if p := sc.Faults; p != nil && p.ModelNoise > 0 {
+		return fault.NoisyEstimator{Base: base, Rel: p.ModelNoise, Seed: p.NoiseSeed}
+	}
+	return base
+}
+
+// NewSpec builds the speculation controller on the engine's clock (seq
+// may be nil) when the plan enables speculation, and returns nil
+// otherwise. End publishes its statistics.
+func (sc *RunScope) NewSpec(now func() float64, seq func() int64) *spec.Controller {
+	if pol := sc.Faults.SpecPolicy(); pol.Enabled {
+		sc.Spec = spec.New(pol, sc.Probe, now, seq)
+	}
+	return sc.Spec
+}
+
+// End closes the bracket. On success it completes the engine's res
+// (Makespan, Trace, Faults and engine-specific fields) with the
+// speculation, per-worker and stream statistics; on failure the result
+// is nil. Either way the Observer sees RunEnd.
+func (sc *RunScope) End(res *Result, err error) (*Result, error) {
+	if err != nil {
+		res = nil
+	} else {
+		if sc.Spec != nil {
+			res.Spec = sc.Spec.Stats
+			// Launching a replica clears its task's claim (ResetForRetry)
+			// so a worker could pop the copy. A replica still queued when
+			// its task won stays claimable until the run ends —
+			// schedulers panic on claimed tasks in their queues — so the
+			// winner's claim is re-asserted only now, with every pop done.
+			for _, t := range sc.graph.Tasks {
+				if !t.Claimed() {
+					t.TryClaim()
+				}
+			}
+		}
+		res.Workers = WorkerStatsFromTrace(sc.machine, res.Trace, res.Faults.AppliedKills)
+		if r, ok := sc.sched.(StreamStatsReporter); ok {
+			ss := r.StreamStats()
+			res.Stream = &ss
+		}
+	}
+	if sc.observer != nil {
+		sc.observer.RunEnd(res, err)
+	}
+	return res, err
 }
 
 // TraceFromGraph builds a trace from the execution records the engines

@@ -19,12 +19,6 @@ func TestNewThreadedEngineNilArgs(t *testing.T) {
 		!strings.Contains(err.Error(), "nil scheduler") {
 		t.Errorf("nil scheduler: err = %v, want descriptive error", err)
 	}
-	// A literal engine with nil fields must fail cleanly at Run, not
-	// panic deep inside the worker loop.
-	eng := &ThreadedEngine{}
-	if _, err := eng.Run(NewGraph()); err == nil {
-		t.Error("Run on zero-value engine accepted")
-	}
 }
 
 // faultTestGraph builds a batch of independent sleeping kernels wide
@@ -157,5 +151,23 @@ func TestThreadedEngineKillDuringCommute(t *testing.T) {
 	}
 	if res.Faults.Kills != 1 {
 		t.Errorf("kills = %d, want 1", res.Faults.Kills)
+	}
+}
+
+// TestNewThreadedEngineRejectsPlanOffTheMachine pins that a fault plan
+// naming a unit the machine lacks fails at construction instead of
+// panicking inside a kill timer goroutine (a kill) or being silently
+// ignored (a slowdown).
+func TestNewThreadedEngineRejectsPlanOffTheMachine(t *testing.T) {
+	m := platform.CPUOnly(2)
+	for _, ev := range []fault.Event{
+		{Kind: fault.KillWorker, Worker: 7},
+		{Kind: fault.SlowWorker, Worker: 9, Until: 1, Factor: 2},
+	} {
+		plan := &fault.Plan{Events: []fault.Event{ev}}
+		if _, err := NewThreadedEngine(m, &fifoSched{}, WithFaultPlan(plan)); err == nil ||
+			!strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%s on unit %d: err = %v, want out-of-range error", ev.Kind, ev.Worker, err)
+		}
 	}
 }

@@ -339,7 +339,10 @@ func TestThreadedEngineRunsChain(t *testing.T) {
 	g.Submit(mk("b", RW))
 	g.Submit(mk("c", R))
 
-	eng := &ThreadedEngine{Machine: platform.CPUOnly(4), Sched: &fifoSched{}}
+	eng, err := NewThreadedEngine(platform.CPUOnly(4), &fifoSched{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := eng.Run(g)
 	if err != nil {
 		t.Fatal(err)
@@ -370,7 +373,10 @@ func TestThreadedEngineParallelism(t *testing.T) {
 		}
 		g.Submit(task)
 	}
-	eng := &ThreadedEngine{Machine: platform.CPUOnly(4), Sched: &fifoSched{}}
+	eng, err := NewThreadedEngine(platform.CPUOnly(4), &fifoSched{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := eng.Run(g); err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +395,10 @@ func TestThreadedEngineRecordsHistory(t *testing.T) {
 	task.Run = func(w WorkerInfo) { time.Sleep(2 * time.Millisecond) }
 	g.Submit(task)
 	hist := perfmodel.NewHistory()
-	eng := &ThreadedEngine{Machine: platform.CPUOnly(2), Sched: &fifoSched{}, History: hist}
+	eng, err := NewThreadedEngine(platform.CPUOnly(2), &fifoSched{}, WithHistory(hist))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := eng.Run(g); err != nil {
 		t.Fatal(err)
 	}
@@ -406,8 +415,11 @@ func TestThreadedEngineStarvationDetected(t *testing.T) {
 	g := NewGraph()
 	g.Submit(cpuTask("t", 1))
 	refuser := &refusingSched{}
-	eng := &ThreadedEngine{Machine: platform.CPUOnly(2), Sched: refuser}
-	_, err := eng.Run(g)
+	eng, err := NewThreadedEngine(platform.CPUOnly(2), refuser)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = eng.Run(g)
 	if err == nil {
 		t.Fatal("expected starvation error")
 	}

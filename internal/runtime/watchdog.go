@@ -104,25 +104,18 @@ func (d *DecisionTail) Tail() []obs.Decision {
 	return out
 }
 
-// Dump writes the retained decisions in the decision log's canonical
-// text format, oldest first. (Named Dump, not WriteTo: it does not
-// implement io.WriterTo.)
+// Dump writes the decision section of a watchdog dump: a header line,
+// then the retained decisions in the decision log's canonical text
+// format, oldest first. (Named Dump, not WriteTo: it does not implement
+// io.WriterTo.)
 func (d *DecisionTail) Dump(w io.Writer) {
+	fmt.Fprintln(w, "  decision tail (oldest first):")
 	tail := d.Tail()
 	if len(tail) == 0 {
-		fmt.Fprintln(w, "  (no scheduler decisions recorded)")
+		fmt.Fprintln(w, "    (no scheduler decisions recorded)")
 		return
 	}
 	for _, dec := range tail {
-		fmt.Fprintf(w, "  %s\n", obs.FormatDecision(dec))
+		fmt.Fprintf(w, "    %s\n", obs.FormatDecision(dec))
 	}
-}
-
-// WatchdogProbe combines a user probe (possibly nil) with a decision
-// tail, returning the probe the engine should install.
-func WatchdogProbe(user obs.Probe, tail *DecisionTail) obs.Probe {
-	if user == nil {
-		return tail
-	}
-	return obs.Multi{user, tail}
 }

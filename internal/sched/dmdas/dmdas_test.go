@@ -180,7 +180,11 @@ func TestEndToEndSimulation(t *testing.T) {
 			g.Submit(&runtime.Task{Kind: "work", Priority: i, Cost: []float64{0.4, 0.1},
 				Accesses: []runtime.Access{{Handle: h, Mode: runtime.R}}})
 		}
-		res, err := sim.Run(m, g, New(v), sim.Options{})
+		eng, err := sim.NewEngine(m, New(v))
+		if err != nil {
+			t.Fatalf("%v: %v", v, err)
+		}
+		res, err := eng.Run(g)
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}

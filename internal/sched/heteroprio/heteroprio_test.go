@@ -134,7 +134,11 @@ func TestEndToEndSimulation(t *testing.T) {
 		}
 		g.Submit(&runtime.Task{Kind: kind, Cost: cost})
 	}
-	res, err := sim.Run(m, g, New(), sim.Options{})
+	eng, err := sim.NewEngine(m, New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,11 @@ func TestEndToEnd(t *testing.T) {
 		g.Submit(&runtime.Task{Kind: "r", Priority: i, Cost: []float64{0.1},
 			Accesses: []runtime.Access{{Handle: h, Mode: runtime.R}}})
 	}
-	res, err := sim.Run(platform.CPUOnly(4), g, New(), sim.Options{})
+	eng, err := sim.NewEngine(platform.CPUOnly(4), New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}

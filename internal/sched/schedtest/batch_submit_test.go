@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"multiprio/internal/runtime"
-	"multiprio/internal/sim"
 )
 
 // rebuildSequential replays a built graph through the sequential Submit
@@ -53,14 +52,14 @@ func TestSubmitBatchMatchesSequential(t *testing.T) {
 			w, pol := w, pol
 			t.Run(w.name+"/"+pol.name, func(t *testing.T) {
 				t.Parallel()
-				opts := sim.Options{Seed: 23, CollectMemEvents: true}
+				opts := []runtime.Option{runtime.WithSeed(23), runtime.WithMemEvents()}
 				batch := w.build()
-				resBatch, err := sim.Run(m, batch, pol.mk(), opts)
+				resBatch, err := runSim(m, batch, pol.mk(), opts...)
 				if err != nil {
 					t.Fatalf("batch-built run: %v", err)
 				}
 				seq := rebuildSequential(batch)
-				resSeq, err := sim.Run(m, seq, pol.mk(), opts)
+				resSeq, err := runSim(m, seq, pol.mk(), opts...)
 				if err != nil {
 					t.Fatalf("sequential rebuild run: %v", err)
 				}

@@ -13,7 +13,6 @@ import (
 	"multiprio/internal/runtime"
 	"multiprio/internal/sched/distrib"
 	"multiprio/internal/sched/registry"
-	"multiprio/internal/sim"
 
 	_ "multiprio/internal/sched/all"
 )
@@ -66,7 +65,7 @@ func TestClusterN1Golden(t *testing.T) {
 	for _, w := range conformanceWorkloads(m) {
 		for _, pol := range policies {
 			g := w.build()
-			res, err := sim.Run(m, g, distribOf(t, pol.name), sim.Options{Seed: 23, CollectMemEvents: true})
+			res, err := runSim(m, g, distribOf(t, pol.name), runtime.WithSeed(23), runtime.WithMemEvents())
 			if err != nil {
 				t.Fatalf("%s/distrib:%s: %v", w.name, pol.name, err)
 			}
@@ -136,9 +135,9 @@ func TestClusterMultiNodeConformance(t *testing.T) {
 				t.Parallel()
 				g := w.build()
 				sched := distribOf(t, pol.name)
-				res, err := sim.Run(m, g, sched, sim.Options{Seed: 23, CollectMemEvents: true})
+				res, err := runSim(m, g, sched, runtime.WithSeed(23), runtime.WithMemEvents())
 				if err != nil {
-					t.Fatalf("sim.Run: %v", err)
+					t.Fatalf("simulation: %v", err)
 				}
 				if err := oracle.Check(g, res.Trace, oracle.Options{OverflowBytes: res.OverflowBytes}); err != nil {
 					t.Fatalf("oracle: %v", err)
@@ -189,9 +188,11 @@ func TestClusterDeterminism(t *testing.T) {
 				m := clusterMachine(t, n)
 				run := func() []byte {
 					g := conformanceWorkloads(m)[3].build() // randdag
-					res, err := sim.Run(m, g, distribOf(t, inner), sim.Options{Seed: 23, CollectMemEvents: true})
+					res, err := runSim(m, g, distribOf(t, inner),
+						runtime.WithSeed(23), runtime.WithMemEvents(),
+					)
 					if err != nil {
-						t.Fatalf("sim.Run: %v", err)
+						t.Fatalf("simulation: %v", err)
 					}
 					return res.Trace.Canonical()
 				}

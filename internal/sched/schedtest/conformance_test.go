@@ -40,6 +40,16 @@ var policies = []struct {
 // so the workloads below overflow device memory and the oracle's
 // coherence replay exercises eviction, writeback and capacity
 // accounting, not just the happy path.
+// runSim builds a simulator engine for m and s with opts and runs g on
+// it: NewEngine then Run, with either error returned.
+func runSim(m *platform.Machine, g *runtime.Graph, s runtime.Scheduler, opts ...runtime.Option) (*sim.Result, error) {
+	eng, err := sim.NewEngine(m, s, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return eng.Run(g)
+}
+
 func conformanceMachine() *platform.Machine {
 	m, err := platform.NewHeteroNode("conf", 5, 10, 2, 100, 8*platform.MiB, 5e9, platform.Config{})
 	if err != nil {
@@ -97,9 +107,9 @@ func TestConformanceSimEngine(t *testing.T) {
 				t.Parallel()
 				run := func() (*runtime.Graph, *sim.Result) {
 					g := w.build()
-					res, err := sim.Run(m, g, pol.mk(), sim.Options{Seed: 23, CollectMemEvents: true})
+					res, err := runSim(m, g, pol.mk(), runtime.WithSeed(23), runtime.WithMemEvents())
 					if err != nil {
-						t.Fatalf("sim.Run: %v", err)
+						t.Fatalf("simulation: %v", err)
 					}
 					return g, res
 				}

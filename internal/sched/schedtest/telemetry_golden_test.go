@@ -10,7 +10,6 @@ import (
 
 	"multiprio/internal/oracle"
 	"multiprio/internal/runtime"
-	"multiprio/internal/sim"
 	"multiprio/internal/telemetry"
 )
 
@@ -38,9 +37,9 @@ func TestCanonicalTraceGoldenTelemetry(t *testing.T) {
 		for _, pol := range policies {
 			g := w.build()
 			totalTasks += len(g.Tasks)
-			res, err := sim.Run(m, g, pol.mk(), sim.Options{
-				Seed: 23, CollectMemEvents: true, Observer: p,
-			})
+			res, err := runSim(m, g, pol.mk(),
+				runtime.WithSeed(23), runtime.WithMemEvents(), runtime.WithObserver(p),
+			)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", w.name, pol.name, err)
 			}

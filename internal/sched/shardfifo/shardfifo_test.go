@@ -87,9 +87,13 @@ func TestSimOracleAndDeterminism(t *testing.T) {
 	}
 	run := func() (*runtime.Graph, *sim.Result) {
 		g := buildGraph(m)
-		res, err := sim.Run(m, g, New(), sim.Options{Seed: 23, CollectMemEvents: true})
+		eng, err := sim.NewEngine(m, New(), runtime.WithSeed(23), runtime.WithMemEvents())
 		if err != nil {
-			t.Fatalf("sim.Run: %v", err)
+			t.Fatalf("sim.NewEngine: %v", err)
+		}
+		res, err := eng.Run(g)
+		if err != nil {
+			t.Fatalf("simulation: %v", err)
 		}
 		return g, res
 	}

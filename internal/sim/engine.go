@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"time"
 
-	"multiprio/internal/fault"
 	"multiprio/internal/obs"
 	"multiprio/internal/perfmodel"
 	"multiprio/internal/platform"
@@ -14,76 +13,6 @@ import (
 	"multiprio/internal/spec"
 	"multiprio/internal/trace"
 )
-
-// Options configures one simulated run. New code should prefer
-// NewEngine with runtime functional options; Options remains as the
-// explicit form the constructors lower into.
-type Options struct {
-	// Seed drives all randomness (execution-time noise).
-	Seed int64
-	// Noise is the relative standard deviation of execution times
-	// (0 = fully deterministic kernels).
-	Noise float64
-	// Estimator is what schedulers see as the performance model.
-	// Nil defaults to perfmodel.Oracle (perfectly calibrated offline
-	// model, as StarPU assumes after calibration runs).
-	Estimator perfmodel.Estimator
-	// History, when non-nil, receives every observed execution time;
-	// pass it as Estimator too to simulate online calibration.
-	History *perfmodel.History
-	// CollectTrace enables full span/transfer recording (always on for
-	// makespan and idle accounting; this flag keeps transfer spans).
-	CollectTrace bool
-	// CollectMemEvents records every replica state change (allocation,
-	// validation, invalidation) in the trace, for the execution oracle's
-	// coherence and capacity replay. Off by default: large runs emit
-	// many events.
-	CollectMemEvents bool
-	// MaxEvents aborts runaway simulations; 0 means a generous default.
-	MaxEvents int64
-	// Pipeline is the number of tasks a worker may hold concurrently:
-	// one computing plus lookahead slots whose data transfers overlap
-	// the current compute, as StarPU workers do. Default 2.
-	Pipeline int
-	// Probe receives scheduler decision events and engine counter
-	// samples (internal/obs), stamped with simulated time and the
-	// engine's linearization sequence. Nil disables observation.
-	// Attaching a probe never perturbs the simulation: probes read the
-	// sequencer without advancing it, and the canonical trace is
-	// byte-identical with and without one.
-	Probe obs.Probe
-	// Faults, when non-nil and non-empty, injects the fault plan as
-	// discrete events: worker kills abort the running attempt and roll
-	// the task back for a retry, slowdown windows stretch kernels
-	// starting inside them, transfer-failure windows make transfers
-	// fail on arrival and re-issue, and model noise deterministically
-	// mispredicts the schedulers' estimates. Same seed + same plan ⇒
-	// byte-identical canonical trace. The plan's Speculation policy
-	// enables straggler mitigation: attempts running past
-	// slack × expected duration are replicated through the normal Push
-	// path, first success wins, losers are cancelled.
-	Faults *fault.Plan
-	// Watchdog, when armed, aborts a run whose event loop is still
-	// going after the wall-clock deadline and dumps diagnostics
-	// (decision tail, per-worker state). Virtual time cannot hang, but
-	// the event loop can spin (a pathological scheduler or plan), and
-	// wall time is what CI kills on.
-	Watchdog runtime.Watchdog
-	// Arrivals, when non-nil, makes the run a streaming run: entry i is
-	// the virtual-time submission instant of task i, and the task is
-	// not pushed to the scheduler before max(arrival, dependencies
-	// released). Arrival releases are discrete events, so they
-	// linearize with the rest of the simulation and stay deterministic;
-	// a task whose arrival already passed is pushed inline with no
-	// extra event, which makes an all-zero plan byte-identical to batch
-	// mode. See internal/stream for plan construction.
-	Arrivals []float64
-	// Observer, when non-nil, receives the run lifecycle (RunStart /
-	// RunEnd) and every probe event, fanned in beside Probe. Like plain
-	// probes, observers are read-only: the canonical trace is
-	// byte-identical with one attached.
-	Observer runtime.RunObserver
-}
 
 // Result reports one simulated run. It is the engine-agnostic
 // runtime.Result: makespan, trace, per-worker statistics, and fault
@@ -100,40 +29,41 @@ var ErrDeadlock = errors.New("sim: deadlock - no events pending but tasks remain
 type Engine struct {
 	machine *platform.Machine
 	sched   runtime.Scheduler
-	opts    Options
+	cfg     runtime.RunConfig
 }
 
 // NewEngine builds a simulator engine for machine m driving scheduler
-// s. It returns an error — symmetric with runtime.NewThreadedEngine —
-// when either is nil.
+// s, configured by the runtime With… options. It returns an error —
+// symmetric with runtime.NewThreadedEngine — when either is nil or the
+// fault plan does not fit m.
 func NewEngine(m *platform.Machine, s runtime.Scheduler, opts ...runtime.Option) (*Engine, error) {
-	if m == nil {
-		return nil, errors.New("sim: NewEngine: nil machine")
+	cfg, err := runtime.NewRunConfig("sim: NewEngine", m, s, opts)
+	if err != nil {
+		return nil, err
 	}
-	if s == nil {
-		return nil, errors.New("sim: NewEngine: nil scheduler")
-	}
-	cfg := runtime.BuildRunConfig(opts)
-	return &Engine{machine: m, sched: s, opts: Options{
-		Seed:             cfg.Seed,
-		Noise:            cfg.Noise,
-		Estimator:        cfg.Estimator,
-		History:          cfg.History,
-		CollectMemEvents: cfg.CollectMemEvents,
-		MaxEvents:        cfg.MaxEvents,
-		Pipeline:         cfg.Lookahead,
-		CollectTrace:     cfg.CollectTrace,
-		Probe:            cfg.Probe,
-		Faults:           cfg.Faults,
-		Watchdog:         cfg.Watchdog,
-		Arrivals:         cfg.Arrivals,
-		Observer:         cfg.Observer,
-	}}, nil
+	return &Engine{machine: m, sched: s, cfg: cfg}, nil
 }
 
 // Run implements runtime.Engine.
 func (e *Engine) Run(g *runtime.Graph) (*Result, error) {
-	return Run(e.machine, g, e.sched, e.opts)
+	sc, err := e.cfg.Begin("sim", e.machine, g, e.sched)
+	if err != nil {
+		return nil, err
+	}
+	eng, err := runEngine(e.machine, g, e.sched, e.cfg, sc)
+	if err != nil {
+		return sc.End(nil, err)
+	}
+	res := &Result{
+		Makespan:      eng.tr.Makespan,
+		Trace:         eng.tr,
+		OverflowBytes: eng.mm.overflow,
+		Events:        eng.events,
+	}
+	if eng.faults != nil {
+		res.Faults = eng.faults.stats
+	}
+	return sc.End(res, nil)
 }
 
 // simulation is one in-flight simulated run.
@@ -141,7 +71,7 @@ type simulation struct {
 	machine *platform.Machine
 	graph   *runtime.Graph
 	sched   runtime.Scheduler
-	opts    Options
+	cfg     runtime.RunConfig
 	env     *runtime.Env
 
 	now          float64
@@ -181,9 +111,10 @@ type simulation struct {
 	commuteHeld    map[int64]bool
 	commuteWaiters map[int64][]func()
 
-	// probe mirrors opts.Probe; pushed/popped/completed feed the
-	// engine-level submitted/ready/completed counters and are only
-	// maintained while a probe is attached.
+	// probe is the run's probe fan-in (RunScope.Probe);
+	// pushed/popped/completed feed the engine-level
+	// submitted/ready/completed counters and are only maintained while
+	// a probe is attached.
 	probe     obs.Probe
 	pushed    int64
 	popped    int64
@@ -234,76 +165,16 @@ type stagedTask struct {
 	a *attempt
 }
 
-// Run simulates the execution of g on m under scheduler s.
-func Run(m *platform.Machine, g *runtime.Graph, s runtime.Scheduler, opts Options) (*Result, error) {
-	if o := opts.Observer; o != nil {
-		// The observer's probe half joins the fan-out; its lifecycle
-		// hooks bracket the run.
-		opts.Probe = obs.Combine(opts.Probe, o)
-		o.RunStart(runtime.RunInfo{
-			Machine: m, Tasks: len(g.Tasks), Scheduler: s.Name(), Engine: "sim",
-		})
-		eng, err := runEngine(m, g, s, opts)
-		var res *Result
-		if err == nil {
-			res = eng.result()
-		}
-		o.RunEnd(res, err)
-		return res, err
-	}
-	eng, err := runEngine(m, g, s, opts)
-	if err != nil {
-		return nil, err
-	}
-	return eng.result(), nil
-}
-
-// result assembles the runtime.Result of a finished simulation.
-func (eng *simulation) result() *Result {
-	res := &Result{
-		Makespan:      eng.tr.Makespan,
-		Trace:         eng.tr,
-		OverflowBytes: eng.mm.overflow,
-		Events:        eng.events,
-	}
-	var kills []runtime.AppliedKill
-	if eng.faults != nil {
-		res.Faults = eng.faults.stats
-		kills = eng.faults.stats.AppliedKills
-	}
-	if eng.specCtl != nil {
-		res.Spec = eng.specCtl.Stats
-		// Launching a replica clears its task's claim (ResetForRetry) so
-		// a worker could pop the copy. A replica still queued when its
-		// task won stays claimable until the run ends — schedulers panic
-		// on claimed tasks in their queues — so the winner's claim is
-		// re-asserted only now, with every pop done.
-		for _, t := range eng.graph.Tasks {
-			if !t.Claimed() {
-				t.TryClaim()
-			}
-		}
-	}
-	res.Workers = runtime.WorkerStatsFromTrace(eng.machine, eng.tr, kills)
-	res.Stream = runtime.StreamStatsOf(eng.sched)
-	return res
-}
-
-// runEngine executes the simulation and returns the engine itself, so
-// in-package tests can inspect the memory manager's final state.
-func runEngine(m *platform.Machine, g *runtime.Graph, s runtime.Scheduler, opts Options) (*simulation, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	if err := runtime.ValidateArrivals(opts.Arrivals, g); err != nil {
-		return nil, err
-	}
+// runEngine executes the simulation inside the run bracket sc and
+// returns the engine itself, so in-package tests can inspect the memory
+// manager's final state.
+func runEngine(m *platform.Machine, g *runtime.Graph, s runtime.Scheduler, cfg runtime.RunConfig, sc *runtime.RunScope) (*simulation, error) {
 	eng := &simulation{
 		machine: m,
 		graph:   g,
 		sched:   s,
-		opts:    opts,
-		rng:     rand.New(rand.NewSource(opts.Seed)),
+		cfg:     cfg,
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		tr:      trace.New(m),
 		left:    len(g.Tasks),
 	}
@@ -314,16 +185,9 @@ func runEngine(m *platform.Machine, g *runtime.Graph, s runtime.Scheduler, opts 
 	// million-task runs.
 	eng.tr.Reserve(len(g.Tasks), 0, 0)
 	eng.pq.near = make([]event, 0, 8*len(m.Units)+64)
-	eng.probe = opts.Probe
-	if opts.Watchdog.Armed() {
-		// The watchdog keeps a decision tail for its dump. Probes are
-		// behavior-neutral by construction (they read the sequencer
-		// without advancing it), so arming the watchdog never perturbs
-		// the trace.
-		eng.wdTail = runtime.NewDecisionTail(opts.Watchdog.TailLen())
-		eng.probe = runtime.WatchdogProbe(opts.Probe, eng.wdTail)
-		opts.Probe = eng.probe
-		eng.opts.Probe = eng.probe
+	eng.probe = sc.Probe
+	eng.wdTail = sc.Tail
+	if cfg.Watchdog.Armed() {
 		eng.wdStart = time.Now()
 	}
 	eng.mm = newMemoryManager(eng, g)
@@ -357,32 +221,23 @@ func runEngine(m *platform.Machine, g *runtime.Graph, s runtime.Scheduler, opts 
 		}
 	}
 
-	est := opts.Estimator
+	est := cfg.Estimator
 	if est == nil {
 		est = perfmodel.Oracle{}
 	}
-	if !opts.Faults.Empty() {
-		eng.faults = newFaultInjector(opts.Faults)
-		if opts.Faults.ModelNoise > 0 {
-			est = fault.NoisyEstimator{
-				Base: est, Rel: opts.Faults.ModelNoise, Seed: opts.Faults.NoiseSeed,
-			}
-		}
-		if pol := opts.Faults.SpecPolicy(); pol.Enabled {
-			eng.specCtl = spec.New(pol, eng.probe,
-				func() float64 { return eng.now },
-				func() int64 { return eng.seq })
-		}
+	if sc.Faults != nil {
+		eng.faults = newFaultInjector(sc.Faults)
+		eng.specCtl = sc.NewSpec(func() float64 { return eng.now }, func() int64 { return eng.seq })
 	}
 	env := runtime.NewEnv(m, g)
-	env.Model = est
+	env.Model = sc.Model(est)
 	env.Locator = eng.mm
 	env.Now = func() float64 { return eng.now }
 	env.Prefetch = func(t *runtime.Task, mem platform.MemID) {
 		eng.mm.prefetch(t, mem)
 	}
-	if opts.Probe != nil {
-		env.Probe = opts.Probe
+	if eng.probe != nil {
+		env.Probe = eng.probe
 		// Read-only view of the linearization sequencer: probes stamp
 		// events with the last-assigned seq and never advance it. Only
 		// installed (one closure allocation) when a probe consumes it.
@@ -393,19 +248,19 @@ func runEngine(m *platform.Machine, g *runtime.Graph, s runtime.Scheduler, opts 
 	if eng.faults != nil {
 		// Kill events enter the queue up front; window faults
 		// (slowdowns, transfer failures) apply by time lookup.
-		for _, ev := range opts.Faults.Kills() {
+		for _, ev := range sc.Faults.Kills() {
 			ev := ev
 			eng.at(ev.At, func() { eng.applyKill(ev.Worker) })
 		}
 	}
 
-	maxEvents := opts.MaxEvents
+	maxEvents := cfg.MaxEvents
 	if maxEvents <= 0 {
 		maxEvents = 500_000_000
 	}
 
 	for _, t := range g.Roots(nil) {
-		if at := eng.arrivalOf(t); at > 0 {
+		if at := eng.cfg.ArrivalOf(t); at > 0 {
 			// Streaming run: the root has not arrived yet. Its push is a
 			// discrete event at the arrival instant.
 			t := t
@@ -448,11 +303,11 @@ func runEngine(m *platform.Machine, g *runtime.Graph, s runtime.Scheduler, opts 
 			if eng.events > maxEvents {
 				return nil, fmt.Errorf("sim: exceeded %d events at t=%g with %d tasks left", maxEvents, eng.now, eng.left)
 			}
-			if opts.Watchdog.Armed() && eng.events&wdMask == 0 &&
-				time.Since(eng.wdStart) > opts.Watchdog.Deadline {
-				eng.dumpWatchdog(opts.Watchdog)
+			if cfg.Watchdog.Armed() && eng.events&wdMask == 0 &&
+				time.Since(eng.wdStart) > cfg.Watchdog.Deadline {
+				eng.dumpWatchdog(cfg.Watchdog)
 				return nil, fmt.Errorf("sim: %w after %v (%d events, %d tasks left, t=%g, scheduler %s)",
-					runtime.ErrWatchdog, opts.Watchdog.Deadline, eng.events, eng.left, eng.now, s.Name())
+					runtime.ErrWatchdog, cfg.Watchdog.Deadline, eng.events, eng.left, eng.now, s.Name())
 			}
 		}
 	}
@@ -476,14 +331,6 @@ func (eng *simulation) noteProgress() {
 	eng.probe.Counter("sim.submitted", eng.now, eng.seq, float64(eng.pushed))
 	eng.probe.Counter("sim.ready", eng.now, eng.seq, float64(eng.pushed-eng.popped))
 	eng.probe.Counter("sim.completed", eng.now, eng.seq, float64(eng.completed))
-}
-
-// arrivalOf returns the streaming arrival time of t (0 in batch mode).
-func (eng *simulation) arrivalOf(t *runtime.Task) float64 {
-	if eng.opts.Arrivals == nil {
-		return 0
-	}
-	return eng.opts.Arrivals[t.ID]
 }
 
 // pushArrived hands a task whose arrival instant just passed to the
@@ -517,8 +364,8 @@ func (eng *simulation) nextSeq() int64 {
 
 // pipeline returns the per-worker task pipeline depth.
 func (eng *simulation) pipeline() int {
-	if eng.opts.Pipeline > 0 {
-		return eng.opts.Pipeline
+	if eng.cfg.Pipeline > 0 {
+		return eng.cfg.Pipeline
 	}
 	return 2
 }
@@ -657,8 +504,8 @@ func (eng *simulation) maybeCompute(wk *simWorker) {
 		panic(fmt.Sprintf("sim: task %d (%s) scheduled on arch without implementation", t.ID, t.Kind))
 	}
 	dur := base * wk.unit.SpeedFactor
-	if eng.opts.Noise > 0 {
-		f := 1 + eng.opts.Noise*eng.rng.NormFloat64()
+	if eng.cfg.Noise > 0 {
+		f := 1 + eng.cfg.Noise*eng.rng.NormFloat64()
 		if f < 0.2 {
 			f = 0.2
 		}
@@ -771,8 +618,8 @@ func (eng *simulation) finishTask(t *runtime.Task, wk *simWorker, a *attempt, st
 		StartSeq: startSeq,
 		EndSeq:   endSeq,
 	})
-	if eng.opts.History != nil && wk.unit.SpeedFactor > 0 {
-		eng.opts.History.Record(t.Kind, wk.info.Arch, t.Footprint, dur/wk.unit.SpeedFactor)
+	if eng.cfg.History != nil && wk.unit.SpeedFactor > 0 {
+		eng.cfg.History.Record(t.Kind, wk.info.Arch, t.Footprint, dur/wk.unit.SpeedFactor)
 	}
 	if a != nil {
 		eng.faults.removeLive(a)
@@ -780,7 +627,7 @@ func (eng *simulation) finishTask(t *runtime.Task, wk *simWorker, a *attempt, st
 	eng.left--
 	for _, s := range t.Succs() {
 		if s.ReleaseDep() {
-			if at := eng.arrivalOf(s); at > eng.now {
+			if at := eng.cfg.ArrivalOf(s); at > eng.now {
 				// Dependencies done but the tenant has not submitted the
 				// task yet: hold it back until its arrival instant.
 				s := s

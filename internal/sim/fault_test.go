@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"multiprio/internal/apps/randdag"
@@ -51,7 +52,7 @@ func checkFaultRun(t *testing.T, g *runtime.Graph, res *Result, plan *fault.Plan
 func TestSimKillRecovery(t *testing.T) {
 	m := faultMachine(t)
 	g := faultGraph(m, 11)
-	base, err := Run(m, g, core.New(core.Defaults()), Options{Seed: 7})
+	base, err := runSim(m, g, core.New(core.Defaults()), runtime.WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,9 +62,9 @@ func TestSimKillRecovery(t *testing.T) {
 		{Kind: fault.SlowWorker, Worker: 1, At: 0, Until: base.Makespan, Factor: 3},
 	}}
 	g2 := faultGraph(m, 11)
-	res, err := Run(m, g2, core.New(core.Defaults()), Options{
-		Seed: 7, CollectMemEvents: true, Faults: plan,
-	})
+	res, err := runSim(m, g2, core.New(core.Defaults()),
+		runtime.WithSeed(7), runtime.WithMemEvents(), runtime.WithFaultPlan(plan),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestSimKillRecovery(t *testing.T) {
 // failed transfers and the memory-event stream.
 func TestSimFaultDeterminism(t *testing.T) {
 	m := faultMachine(t)
-	base, err := Run(m, faultGraph(m, 3), core.New(core.Defaults()), Options{Seed: 5})
+	base, err := runSim(m, faultGraph(m, 3), core.New(core.Defaults()), runtime.WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,9 +99,9 @@ func TestSimFaultDeterminism(t *testing.T) {
 		Kills: 2, Slowdowns: 2, TransferFaults: 2, ModelNoise: 0.2,
 	})
 	run := func() *Result {
-		res, err := Run(m, faultGraph(m, 3), core.New(core.Defaults()), Options{
-			Seed: 5, CollectMemEvents: true, Faults: plan,
-		})
+		res, err := runSim(m, faultGraph(m, 3), core.New(core.Defaults()),
+			runtime.WithSeed(5), runtime.WithMemEvents(), runtime.WithFaultPlan(plan),
+		)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,9 +124,9 @@ func TestSimFaultDeterminism(t *testing.T) {
 func TestSimEmptyPlanKeepsGoldenTraces(t *testing.T) {
 	m := faultMachine(t)
 	run := func(p *fault.Plan) *Result {
-		res, err := Run(m, faultGraph(m, 21), core.New(core.Defaults()), Options{
-			Seed: 9, CollectMemEvents: true, Faults: p,
-		})
+		res, err := runSim(m, faultGraph(m, 21), core.New(core.Defaults()),
+			runtime.WithSeed(9), runtime.WithMemEvents(), runtime.WithFaultPlan(p),
+		)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +164,7 @@ func TestSimDeviceLossRecoversReplicas(t *testing.T) {
 		}
 		return g
 	}
-	base, err := Run(m, build(), core.New(core.Defaults()), Options{Seed: 2})
+	base, err := runSim(m, build(), core.New(core.Defaults()), runtime.WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,9 +172,9 @@ func TestSimDeviceLossRecoversReplicas(t *testing.T) {
 		{Kind: fault.KillWorker, Worker: gpu, At: 0.3 * base.Makespan},
 	}}
 	g := build()
-	res, err := Run(m, g, core.New(core.Defaults()), Options{
-		Seed: 2, CollectMemEvents: true, Faults: plan,
-	})
+	res, err := runSim(m, g, core.New(core.Defaults()),
+		runtime.WithSeed(2), runtime.WithMemEvents(), runtime.WithFaultPlan(plan),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestSimTransferFailureReissues(t *testing.T) {
 	plan := &fault.Plan{Events: []fault.Event{
 		{Kind: fault.FailTransfer, Src: 0, Dst: 1, At: 0, Until: 0.0015},
 	}}
-	res, err := Run(m, g, eager.New(), Options{CollectMemEvents: true, Faults: plan})
+	res, err := runSim(m, g, eager.New(), runtime.WithMemEvents(), runtime.WithFaultPlan(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,11 +230,28 @@ func TestSimKillLastCapableWorkerFails(t *testing.T) {
 	plan := &fault.Plan{Events: []fault.Event{
 		{Kind: fault.KillWorker, Worker: 1, At: 0.005},
 	}}
-	_, err := Run(m, g, eager.New(), Options{Faults: plan})
+	_, err := runSim(m, g, eager.New(), runtime.WithFaultPlan(plan))
 	if err == nil {
 		t.Fatal("run with no GPU left for GPU-only work succeeded")
 	}
 	if !errors.Is(err, ErrDeadlock) {
 		t.Logf("non-deadlock error (acceptable): %v", err)
+	}
+}
+
+// TestNewEngineRejectsPlanOffTheMachine pins that a fault plan naming a
+// unit the machine lacks fails at construction instead of panicking (a
+// kill) or being silently ignored (a slowdown) mid-run.
+func TestNewEngineRejectsPlanOffTheMachine(t *testing.T) {
+	m := platform.CPUOnly(2)
+	for _, ev := range []fault.Event{
+		{Kind: fault.KillWorker, Worker: 7},
+		{Kind: fault.SlowWorker, Worker: 9, Until: 1, Factor: 2},
+	} {
+		plan := &fault.Plan{Events: []fault.Event{ev}}
+		if _, err := NewEngine(m, eager.New(), runtime.WithFaultPlan(plan)); err == nil ||
+			!strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%s on unit %d: err = %v, want out-of-range error", ev.Kind, ev.Worker, err)
+		}
 	}
 }

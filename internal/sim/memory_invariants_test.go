@@ -105,7 +105,15 @@ func TestMemoryInvariantsAfterRandomWorkloads(t *testing.T) {
 		default:
 			sched = eager.New()
 		}
-		eng, err := runEngine(m, g, sched, Options{Seed: seed})
+		e, err := NewEngine(m, sched, runtime.WithSeed(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := e.cfg.Begin("sim", m, g, sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := runEngine(m, g, sched, e.cfg, sc)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -98,9 +98,17 @@ func TestCombineStreamedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(m, g, fair, sim.Options{Seed: 9, CollectMemEvents: true, Arrivals: plan.Arrivals})
+	eng, err := sim.NewEngine(m, fair,
+		runtime.WithSeed(9),
+		runtime.WithMemEvents(),
+		runtime.WithArrivals(plan.Arrivals),
+	)
 	if err != nil {
-		t.Fatalf("sim.Run: %v", err)
+		t.Fatalf("sim.NewEngine: %v", err)
+	}
+	res, err := eng.Run(g)
+	if err != nil {
+		t.Fatalf("simulation: %v", err)
 	}
 	if err := oracle.Check(g, res.Trace, oracle.Options{
 		OverflowBytes: res.OverflowBytes,

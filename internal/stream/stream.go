@@ -8,7 +8,7 @@
 //
 //   - Plan: the per-task arrival schedule plus the tenant partition and
 //     per-tenant admission limits. Engines honor Plan.Arrivals through
-//     runtime.WithArrivals / sim.Options.Arrivals: a task is never
+//     runtime.WithArrivals: a task is never
 //     offered to the scheduler before its arrival instant.
 //   - ArrivalSpec / Plan.Generate: a seed-driven arrival process
 //     (uniform, Poisson, bursty) built on splitmix64 — the repository's

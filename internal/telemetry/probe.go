@@ -66,9 +66,8 @@ type runRecord struct {
 }
 
 // Probe aggregates the engines' probe stream into live metrics. It
-// implements runtime.RunObserver: attach with runtime.WithObserver (or
-// sim.Options.Observer) and every existing instrumentation site feeds
-// it unchanged — the engines fan it in beside any user probe via
+// implements runtime.RunObserver: attach with runtime.WithObserver and
+// every existing instrumentation site feeds it unchanged — the engines fan it in beside any user probe via
 // obs.Combine.
 //
 // Recording is designed for the threaded engine's concurrency: every
