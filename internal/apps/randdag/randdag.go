@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"multiprio/internal/platform"
 	"multiprio/internal/runtime"
@@ -91,30 +92,47 @@ func Build(p Params) *runtime.Graph {
 	}
 
 	// One output handle per task; an edge is expressed as the consumer
-	// reading the producer's output.
+	// reading the producer's output. The names "d<l>.<i>" are sliced
+	// from one string instead of formatted one by one.
+	nameBuf := make([]byte, 0, n*(2+len(strconv.Itoa(p.Layers-1))+len(strconv.Itoa(p.Width-1))))
+	for l := 0; l < p.Layers; l++ {
+		for i := 0; i < p.Width; i++ {
+			nameBuf = appendName(nameBuf, l, i)
+		}
+	}
+	names := string(nameBuf)
+	var tmp [48]byte
 	outs := make([][]*runtime.DataHandle, p.Layers)
 	for l := range outs {
 		outs[l] = make([]*runtime.DataHandle, p.Width)
 		for i := range outs[l] {
-			outs[l][i] = g.NewData(fmt.Sprintf("d%d.%d", l, i), int64(rng.Intn(1<<20)+4096))
+			k := len(appendName(tmp[:0], l, i))
+			outs[l][i] = g.NewData(names[:k], int64(rng.Intn(1<<20)+4096))
+			names = names[k:]
 		}
 	}
 
 	// Specs are generated up front (same RNG draw order as the former
-	// per-task Submit loop) and submitted in one batch: for million-task
-	// graphs this is the difference between one allocation per task and
-	// a handful of arena chunks.
+	// per-task Submit loop) and submitted in one batch. Each task's Cost
+	// is a capped window of one flat array and its Accesses a capped
+	// window of the current access chunk, so neither costs an
+	// allocation per task.
 	specs := make([]runtime.TaskSpec, 0, n)
+	na := len(p.Machine.Archs)
+	costs := make([]float64, n*na)
+	maxAcc := p.Width + 2 // own output, every input, the accumulator
+	var accBuf []runtime.Access
 	spreadLog := math.Log(p.GranularitySpread)
 	for l := 0; l < p.Layers; l++ {
 		for i := 0; i < p.Width; i++ {
 			// Log-uniform cost in [mean/sqrt(spread), mean*sqrt(spread)].
 			f := math.Exp((rng.Float64() - 0.5) * spreadLog)
 			cpu := p.MeanCost * f
-			cost := make([]float64, len(p.Machine.Archs))
+			cost := costs[:na:na]
+			costs = costs[na:]
 			cost[platform.ArchCPU] = cpu
 			kind := "host"
-			if int(platform.ArchGPU) < len(p.Machine.Archs) && rng.Float64() < p.GPUShare {
+			if int(platform.ArchGPU) < na && rng.Float64() < p.GPUShare {
 				// 10-40x accelerated, plus a launch floor.
 				cost[platform.ArchGPU] = cpu/(10+30*rng.Float64()) + 1e-5
 				kind = "accel"
@@ -123,27 +141,42 @@ func Build(p Params) *runtime.Graph {
 					kind = "typed"
 				}
 			}
-			acc := []runtime.Access{{Handle: outs[l][i], Mode: runtime.W}}
+			if cap(accBuf)-len(accBuf) < maxAcc {
+				accBuf = make([]runtime.Access, 0, max(accChunk, maxAcc))
+			}
+			first := len(accBuf)
+			accBuf = append(accBuf, runtime.Access{Handle: outs[l][i], Mode: runtime.W})
 			if l > 0 {
 				for j := 0; j < p.Width; j++ {
 					if rng.Float64() < p.EdgeProb {
-						acc = append(acc, runtime.Access{Handle: outs[l-1][j], Mode: runtime.R})
+						accBuf = append(accBuf, runtime.Access{Handle: outs[l-1][j], Mode: runtime.R})
 					}
 				}
 			}
 			if accum != nil && rng.Float64() < p.CommuteShare {
-				acc = append(acc, runtime.Access{Handle: accum, Mode: runtime.Commute})
+				accBuf = append(accBuf, runtime.Access{Handle: accum, Mode: runtime.Commute})
 			}
 			specs = append(specs, runtime.TaskSpec{
 				Kind:      kind,
 				Footprint: uint64(10 * math.Round(cpu*1e4)), // bucketed by size
 				Flops:     cpu * 1e9,
 				Cost:      cost,
-				Accesses:  acc,
+				Accesses:  accBuf[first:len(accBuf):len(accBuf)],
 				Priority:  rng.Intn(100),
 			})
 		}
 	}
 	g.SubmitBatch(specs)
 	return g
+}
+
+// accChunk is the number of Access entries per access chunk (64 KiB).
+const accChunk = 4096
+
+// appendName appends the name of layer l's i-th output handle, d<l>.<i>.
+func appendName(b []byte, l, i int) []byte {
+	b = append(b, 'd')
+	b = strconv.AppendInt(b, int64(l), 10)
+	b = append(b, '.')
+	return strconv.AppendInt(b, int64(i), 10)
 }

@@ -1,6 +1,7 @@
 package randdag
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -153,5 +154,37 @@ func TestTypedFractionRestrictsToGPU(t *testing.T) {
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHandleNames pins the output handle names to the d<l>.<i> format,
+// byte for byte, with and without the shared accumulator handle, and
+// checks that the spec slabs hand each task a capped window.
+func TestHandleNames(t *testing.T) {
+	m := platform.IntelV100(platform.Config{})
+	for _, commute := range []float64{0, 0.3} {
+		p := Params{Layers: 12, Width: 11, CommuteShare: commute, Machine: m, Seed: 4}
+		g := Build(p)
+		hs := g.Handles
+		if commute > 0 {
+			if hs[0].Name != "acc" {
+				t.Fatalf("first handle %q, want acc", hs[0].Name)
+			}
+			hs = hs[1:]
+		}
+		if len(hs) != p.Layers*p.Width {
+			t.Fatalf("%d output handles, want %d", len(hs), p.Layers*p.Width)
+		}
+		for k, h := range hs {
+			if want := fmt.Sprintf("d%d.%d", k/p.Width, k%p.Width); h.Name != want {
+				t.Fatalf("handle %d named %q, want %q", k, h.Name, want)
+			}
+		}
+		for _, task := range g.Tasks {
+			if len(task.Accesses) != cap(task.Accesses) || len(task.Cost) != cap(task.Cost) {
+				t.Fatalf("task %d: Accesses len/cap %d/%d, Cost len/cap %d/%d",
+					task.ID, len(task.Accesses), cap(task.Accesses), len(task.Cost), cap(task.Cost))
+			}
+		}
 	}
 }

@@ -93,10 +93,14 @@ func (h *History) Record(kind string, arch platform.ArchID, footprint uint64, se
 func (h *History) Estimate(kind string, arch platform.ArchID, footprint uint64, prior func() (float64, bool)) (float64, bool) {
 	k := Key{Kind: kind, Arch: arch, Footprint: footprint}
 	h.mu.RLock()
-	s := h.buckets[k]
+	var n int64
+	var mean float64
+	if s := h.buckets[k]; s != nil {
+		n, mean = s.n, s.mean
+	}
 	h.mu.RUnlock()
-	if s != nil && s.n > 0 {
-		return s.mean, true
+	if n > 0 {
+		return mean, true
 	}
 	if prior == nil {
 		return 0, false

@@ -16,18 +16,25 @@ type Graph struct {
 	Handles []*DataHandle
 
 	// preds records direct predecessors, indexed by task ID (IDs are
-	// dense submission-order integers, so a slice replaces the former
-	// map: Submit and NumPredsOn sit on the STF hot path). Kept out of
-	// Task to avoid growing the hot struct (successors are needed on the
-	// NOD hot path, predecessors only for restricted counts and critical
-	// paths).
+	// dense submission-order integers). Kept out of Task to avoid
+	// growing the hot struct (successors are needed on the NOD hot path,
+	// predecessors only for restricted counts and critical paths). Each
+	// entry is a capped window of its batch's edge block (see link).
 	preds [][]*Task
 
-	// depScratch is reused across Submit calls for the per-task
-	// dependency list; depEpoch stamps Task.depMark so membership is an
-	// O(1) check instead of a re-scan per handle touch.
-	depScratch []*Task
-	depEpoch   int64
+	// depBuf is the batch-local dependency buffer link fills: the
+	// deduplicated deps of every task of a batch, back to back in task
+	// order. succN counts each batch task's successors inside the batch.
+	// Both are kept for reuse only after a single-task batch (Submit),
+	// so a large batch's scratch does not stay live with the graph.
+	// depEpoch stamps Task.depMark so membership is an O(1) check
+	// instead of a re-scan per handle touch.
+	depBuf   []*Task
+	succN    []int32
+	depEpoch int64
+
+	// nodes backs the handles' reader and commuter lists.
+	nodes nodeSlab
 
 	// taskArena and handleArena back the objects created through
 	// SubmitBatch and NewDataOn, so building a million-task graph costs
@@ -99,10 +106,10 @@ type TaskSpec struct {
 // SubmitBatch submits the specs in order, exactly as a sequence of
 // Submit calls would, and returns the created tasks (a sub-slice of
 // g.Tasks; callers must not append to it). The tasks themselves come
-// from the graph's arena, so a batch costs O(1) allocations for the
-// task objects instead of one per task. Dependency inference, task IDs,
-// and edge insertion order are identical to sequential submission —
-// batch-built graphs schedule byte-identically.
+// from the graph's arena and their edges from one block per batch, so a
+// batch costs O(1) allocations instead of several per task. Dependency
+// inference, task IDs, and edge order are identical to sequential
+// submission — batch-built graphs schedule byte-identically.
 func (g *Graph) SubmitBatch(specs []TaskSpec) []*Task {
 	start := len(g.Tasks)
 	if len(specs) == 0 {
@@ -120,31 +127,112 @@ func (g *Graph) SubmitBatch(specs []TaskSpec) []*Task {
 		t.Cost = s.Cost
 		t.Run = s.Run
 		t.Tag = s.Tag
-		g.Submit(t)
+		g.Tasks = append(g.Tasks, t)
 	}
+	g.link(start)
 	return g.Tasks[start:len(g.Tasks):len(g.Tasks)]
 }
 
 // Submit adds the task to the graph, inferring dependencies from the
 // access modes against previously submitted tasks (the STF rule: a read
 // depends on the last writer; a write depends on the last writer and all
-// readers since). Task IDs are assigned by submission order.
+// readers since). Task IDs are assigned by submission order. It is a
+// batch of one.
 func (g *Graph) Submit(t *Task) *Task {
-	t.ID = g.nextTask
-	g.nextTask++
-	g.preds = append(g.preds, nil)
-	// deps keeps first-encounter order (a reused slice): edges must be
-	// inserted in a deterministic order, because Succs/Preds order is
-	// visible to the engines (successor release order) and to schedulers
-	// (tie-breaks over equal timestamps). Iterating a map here made
-	// identically-built graphs schedule differently run to run.
-	// Deduplication is an epoch stamp on the candidate task — first
-	// encounter wins, repeats are O(1) — so wide-fanout tasks (a reducer
-	// reading thousands of handles) infer in O(deps), not O(deps²).
+	g.Tasks = append(g.Tasks, t)
+	g.link(len(g.Tasks) - 1)
+	return t
+}
+
+// link numbers the batch g.Tasks[start:], infers its dependencies, and
+// lays out its edges. One exact-size block holds every batch task's
+// pred window and then its succ window, each a capped sub-slice: pred
+// windows are the deps in first-encounter order, succ windows are sized
+// by counting in-batch edges and filled in consumer-ID order, which is
+// the order per-edge appends produced. Tasks of earlier batches get
+// their new successors by plain append; their windows are full and
+// capped, so the append reallocates instead of overwriting a
+// neighbour's window (Declare relies on the same property).
+func (g *Graph) link(start int) {
+	batch := g.Tasks[start:]
+	total := 0
+	for _, t := range batch {
+		total += len(t.Accesses)
+	}
+	if cap(g.depBuf) < total {
+		g.depBuf = make([]*Task, 0, total)
+	}
+	deps := g.depBuf[:0]
+	for _, t := range batch {
+		t.ID = g.nextTask
+		g.nextTask++
+		n := len(deps)
+		deps = g.infer(t, deps)
+		t.npreds = int32(len(deps) - n)
+	}
+
+	first := batch[0].ID
+	if cap(g.succN) < len(batch) {
+		g.succN = make([]int32, len(batch))
+	}
+	succN := g.succN[:len(batch)]
+	clear(succN)
+	inBatch := 0
+	for _, d := range deps {
+		if d.ID >= first {
+			succN[d.ID-first]++
+			inBatch++
+		}
+	}
+
+	var edges []*Task
+	if n := len(deps) + inBatch; n > 0 {
+		edges = make([]*Task, n)
+		copy(edges, deps)
+	}
+	off := 0
+	for _, t := range batch {
+		var w []*Task
+		if n := int(t.npreds); n > 0 {
+			w = edges[off : off+n : off+n]
+			off += n
+		}
+		g.preds = append(g.preds, w)
+	}
+	for i, t := range batch {
+		if n := int(succN[i]); n > 0 {
+			t.succs = edges[off : off : off+n]
+			off += n
+		}
+	}
+	for _, t := range batch {
+		for _, d := range g.preds[t.ID] {
+			d.succs = append(d.succs, t)
+		}
+		t.remaining.Store(t.npreds)
+	}
+	if len(batch) == 1 {
+		g.depBuf = deps[:0]
+	} else {
+		g.depBuf, g.succN = nil, nil
+	}
+}
+
+// infer appends to deps the deduplicated dependencies of t and updates
+// the STF state of the handles t accesses.
+//
+// Deps keep first-encounter order: edges must be inserted in a
+// deterministic order, because Succs/Preds order is visible to the
+// engines (successor release order) and to schedulers (tie-breaks over
+// equal timestamps). Iterating a map here made identically-built graphs
+// schedule differently run to run. Deduplication is an epoch stamp on
+// the candidate task — first encounter wins, repeats are O(1) — so
+// wide-fanout tasks (a reducer reading thousands of handles) infer in
+// O(deps), not O(deps²).
+func (g *Graph) infer(t *Task, deps []*Task) []*Task {
 	g.depEpoch++
 	epoch := g.depEpoch
 	t.depMark = epoch // a task never depends on itself
-	deps := g.depScratch[:0]
 	dep := func(d *Task) {
 		if d == nil || d.depMark == epoch {
 			return
@@ -152,6 +240,14 @@ func (g *Graph) Submit(t *Task) *Task {
 		d.depMark = epoch
 		deps = append(deps, d)
 	}
+	depAll := func(l taskList) {
+		for i := l.head; i != 0; {
+			n := g.nodes.at(i)
+			dep(g.Tasks[n.task])
+			i = n.next
+		}
+	}
+	id := int32(t.ID)
 	for _, a := range t.Accesses {
 		h := a.Handle
 		if h == nil {
@@ -159,65 +255,47 @@ func (g *Graph) Submit(t *Task) *Task {
 		}
 		switch a.Mode {
 		case R:
-			if len(h.commuters) > 0 {
+			if h.commuters.head != 0 {
 				// A read closes the open commute group: it waits for
 				// every commuting updater, and later accesses order
 				// against the reader (transitively against the group).
-				for _, c := range h.commuters {
-					dep(c)
-				}
-				h.commuters = h.commuters[:0]
+				depAll(h.commuters)
+				g.nodes.release(&h.commuters)
+				g.nodes.release(&h.readers)
 				h.lastWriter = nil
-				h.readers = h.readers[:0]
 			} else {
 				dep(h.lastWriter)
 			}
-			h.readers = append(h.readers, t)
+			g.nodes.push(&h.readers, id)
 		case Commute:
 			// Commutative update: ordered after the last exclusive
 			// writer and any readers since, but NOT after fellow
 			// members of the open group.
 			dep(h.lastWriter)
-			for _, r := range h.readers {
-				dep(r)
-			}
-			h.commuters = append(h.commuters, t)
+			depAll(h.readers)
+			g.nodes.push(&h.commuters, id)
 		case W, RW:
 			dep(h.lastWriter)
-			for _, r := range h.readers {
-				dep(r)
-			}
-			for _, c := range h.commuters {
-				dep(c)
-			}
-			h.readers = h.readers[:0]
-			h.commuters = h.commuters[:0]
+			depAll(h.readers)
+			depAll(h.commuters)
+			g.nodes.release(&h.readers)
+			g.nodes.release(&h.commuters)
 			h.lastWriter = t
 		default:
 			panic(fmt.Sprintf("runtime: task %q has invalid access mode %d", t.Kind, a.Mode))
 		}
 	}
-	for _, d := range deps {
-		g.addEdge(d, t)
-	}
-	g.depScratch = deps[:0]
-	t.remaining.Store(t.npreds)
-	g.Tasks = append(g.Tasks, t)
-	return t
+	return deps
 }
 
 // Declare adds an explicit dependency edge from -> to, for dependencies
 // not expressible through data accesses. It must be called after both
 // tasks were submitted and before the graph runs.
 func (g *Graph) Declare(from, to *Task) {
-	g.addEdge(from, to)
-	to.remaining.Store(to.npreds)
-}
-
-func (g *Graph) addEdge(from, to *Task) {
 	from.succs = append(from.succs, to)
-	to.npreds++
 	g.preds[to.ID] = append(g.preds[to.ID], from)
+	to.npreds++
+	to.remaining.Store(to.npreds)
 }
 
 // Preds returns the direct predecessors λ−(t).

@@ -80,13 +80,14 @@ type DataHandle struct {
 	Payload any
 
 	// STF inference state (owned by Graph.Submit, not synchronized:
-	// submission is sequential by definition of the model).
+	// submission is sequential by definition of the model). The lists
+	// live in the owning graph's node slab.
 	lastWriter *Task
-	readers    []*Task
+	readers    taskList
 	// commuters is the open group of commutative updaters since the
 	// last exclusive access; they don't depend on one another, and the
 	// next non-commute access depends on all of them.
-	commuters []*Task
+	commuters taskList
 	// commuteMu serializes commuting updaters at execution time on the
 	// threaded engine (the simulator uses virtual-time locks instead).
 	commuteMu sync.Mutex
