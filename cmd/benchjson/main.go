@@ -38,13 +38,15 @@ import (
 	"strings"
 )
 
-// Entry is one benchmark's aggregated result.
+// Entry is one benchmark's aggregated result. BytesPerOp and
+// AllocsPerOp are written even when 0: a baseline pinned at zero is a
+// gate (any cost fails it), not a missing value.
 type Entry struct {
 	Name        string  `json:"name"`
 	Runs        int     `json:"runs"`
 	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
-	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+	BytesPerOp  float64 `json:"bytes_per_op"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
 	// TasksPerSec is the custom throughput metric the bench suite
 	// reports via b.ReportMetric(..., "tasks/s"). Higher is better, so
 	// aggregation takes the maximum across -count runs and the gate
@@ -233,8 +235,10 @@ func parseGate(s string) map[string]bool {
 // gated metric stayed within the threshold. Cost metrics (ns, bytes,
 // allocs) regress upward; tasks/s regresses downward, against its own
 // looser threshold (wall-clock throughput varies more across runners
-// than allocation counts do). Benchmarks present on only one side are
-// reported but never fail the gate (the suite may grow).
+// than allocation counts do). A cost metric whose baseline is 0 has no
+// ratio to grow by, so any cost above 0 is a regression. Benchmarks
+// present on only one side are reported but never fail the gate (the
+// suite may grow).
 func compare(w io.Writer, base, cur *Report, threshold, tputThreshold float64, gates map[string]bool) bool {
 	baseBy := map[string]Entry{}
 	for _, e := range base.Benchmarks {
@@ -261,15 +265,22 @@ func compare(w io.Writer, base, cur *Report, threshold, tputThreshold float64, g
 			{"allocs", e.AllocsPerOp, b.AllocsPerOp, false, threshold},
 			{"throughput", e.TasksPerSec, b.TasksPerSec, true, tputThreshold},
 		} {
-			if mt.base <= 0 {
+			var cell string
+			var regressed bool
+			switch {
+			case mt.base > 0:
+				ratio := mt.cur/mt.base - 1
+				cell = fmt.Sprintf("%+.1f%%", 100*ratio)
+				regressed = ratio > mt.limit
+				if mt.inverted {
+					regressed = -ratio > mt.limit
+				}
+			case !mt.inverted && mt.cur > 0:
+				cell = fmt.Sprintf("0→%g", mt.cur)
+				regressed = true
+			default:
 				cells = append(cells, "-")
 				continue
-			}
-			ratio := mt.cur/mt.base - 1
-			cell := fmt.Sprintf("%+.1f%%", 100*ratio)
-			regressed := ratio > mt.limit
-			if mt.inverted {
-				regressed = -ratio > mt.limit
 			}
 			if regressed {
 				if gates[mt.key] {

@@ -13,6 +13,7 @@ cpu: Test CPU
 BenchmarkSimThroughput-8   	       1	700000000 ns/op	  140000 tasks/s	  123456 B/op	    2000 allocs/op
 BenchmarkSimThroughput-8   	       1	650000000 ns/op	  150000 tasks/s	  123000 B/op	    2000 allocs/op
 BenchmarkHeapOps-8         	       1	 4776416 ns/op	  492208 B/op	      35 allocs/op
+BenchmarkTelemetryCounterTrack-8	       1	     180 ns/op	       0 B/op	       0 allocs/op
 PASS
 `
 
@@ -77,5 +78,20 @@ func TestAllocGateStillFires(t *testing.T) {
 	worse := parseString(t, strings.ReplaceAll(sample, "35 allocs/op", "99 allocs/op"))
 	if compare(io.Discard, base, worse, 0.30, 0.60, map[string]bool{"allocs": true}) {
 		t.Error("+183%% allocs/op passed the 30%% gate")
+	}
+}
+
+// TestAllocGateFiresOnZeroBaseline checks a benchmark pinned at zero
+// allocs/op is gated: staying at 0 passes, any allocation fails.
+func TestAllocGateFiresOnZeroBaseline(t *testing.T) {
+	base := parseString(t, sample)
+	gates := map[string]bool{"allocs": true}
+	if !compare(io.Discard, base, base, 0.30, 0.60, gates) {
+		t.Error("unchanged zero-alloc baseline failed the gate")
+	}
+	line := "180 ns/op	       0 B/op	       0 allocs/op"
+	worse := parseString(t, strings.ReplaceAll(sample, line, "180 ns/op	       0 B/op	       1 allocs/op"))
+	if compare(io.Discard, base, worse, 0.30, 0.60, gates) {
+		t.Error("0 → 1 allocs/op passed the gate")
 	}
 }

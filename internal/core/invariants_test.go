@@ -11,7 +11,8 @@ import (
 
 // TestQuickSchedulerInvariants drives MultiPrio with random push/pop
 // interleavings and checks the bookkeeping invariants after every step:
-// ready counts are non-negative and match heap sizes, best-remaining
+// ready counts and the lock-free queued counts are non-negative and
+// match heap sizes, best-remaining
 // work stays non-negative, every pushed task is eventually claimable by
 // a worker of an eligible architecture, and no task is ever lost.
 func TestQuickSchedulerInvariants(t *testing.T) {
@@ -58,6 +59,10 @@ func TestQuickSchedulerInvariants(t *testing.T) {
 				rc := s.ReadyCount(platform.MemID(mem))
 				if rc < 0 || rc != s.heaps[mem].Len() {
 					t.Logf("ready count %d != heap len %d on mem %d", rc, s.heaps[mem].Len(), mem)
+					return false
+				}
+				if q := s.queued[mem].Load(); int(q) != s.heaps[mem].Len() {
+					t.Logf("queued %d != heap len %d on mem %d", q, s.heaps[mem].Len(), mem)
 					return false
 				}
 				if s.BestRemainingWork(platform.MemID(mem)) < -1e-9 {

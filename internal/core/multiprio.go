@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"multiprio/internal/heap"
 	"multiprio/internal/obs"
@@ -94,8 +95,14 @@ type Sched struct {
 
 	mu    sync.Mutex
 	env   *runtime.Env
-	heaps []*heap.Heap            // one per memory node
-	byID  map[int64]*runtime.Task // heap item id -> task
+	heaps []*heap.Heap // one per memory node
+	// tasks maps a heap item id (the task ID) to its task; the entry is
+	// nil once the task is claimed or drained from every heap.
+	tasks []*runtime.Task
+	// queued[m] mirrors heaps[m].Len(). It is stored under mu after
+	// every heap mutation and read by Pop without the lock, so a worker
+	// on an empty node does not contend for mu.
+	queued []atomic.Int32
 
 	// readyCount[m] is the number of ready tasks in heap m.
 	readyCount []int
@@ -112,12 +119,17 @@ type Sched struct {
 	// Evictions counts pop-condition failures (observability).
 	Evictions int64
 
-	// topBuf is the reused top-n candidate scratch of POP; archBuf the
-	// reused eligible-architecture scratch of PUSH; states a slab so
-	// per-task scheduler state does not cost one allocation per task.
-	topBuf  []heap.ScoredID
+	// topBuf is the reused top-n candidate scratch of POP; states a slab
+	// so per-task scheduler state does not cost one allocation per task.
+	topBuf []heap.ScoredID
+	states []taskState
+	// PUSH scratch, indexed by architecture and valid for the task being
+	// scored: delta[a] is δ(t, a), NaN when a has no live worker; nod[a]
+	// the raw NOD on a, NaN until computed; archBuf lists the eligible
+	// architectures (can run t, have a live worker).
+	delta   []float64
+	nod     []float64
 	archBuf []platform.ArchID
-	states  []taskState
 
 	// probe receives decision events and counter samples; nil (the
 	// default) disables observation. Track names are prebuilt at Init
@@ -148,7 +160,10 @@ func (s *Sched) Init(env *runtime.Env) {
 	for i := range s.heaps {
 		s.heaps[i] = heap.New(256)
 	}
-	s.byID = make(map[int64]*runtime.Task, 1024)
+	s.tasks = nil
+	s.queued = make([]atomic.Int32, len(env.Machine.Mems))
+	s.delta = make([]float64, len(env.Machine.Archs))
+	s.nod = make([]float64, len(env.Machine.Archs))
 	s.readyCount = make([]int, len(env.Machine.Mems))
 	s.bestRemaining = make([]float64, len(env.Machine.Mems))
 	s.hd = make([]float64, len(env.Machine.Archs))
@@ -189,7 +204,11 @@ func (s *Sched) Push(t *runtime.Task) {
 
 func (s *Sched) pushLocked(t *runtime.Task) {
 	m := s.env.Machine
-	bestArch, bestDelta, ok := s.env.BestArch(t)
+	// The per-architecture quantities behind Eq. 1 (δ per architecture,
+	// best/second-best deltas, eligible architectures) and Eq. 2 (raw
+	// NOD) depend only on the task, not on the memory node: estimate
+	// them once per architecture, not once per heap.
+	bestArch, bestDelta, secondDelta, ok := s.estimate(t)
 	if !ok {
 		panic(fmt.Sprintf("multiprio: task %d (%s) runs on no available architecture", t.ID, t.Kind))
 	}
@@ -197,12 +216,11 @@ func (s *Sched) pushLocked(t *runtime.Task) {
 	st.bestArch, st.bestDelta = bestArch, bestDelta
 	t.SchedData = st
 
-	// The per-architecture quantities behind Eq. 1 (best/second-best
-	// deltas, eligible-architecture count) depend only on the task, not
-	// on the memory node: compute them once, not once per heap.
-	archs := s.eligibleArchs(t)
-	_, secondDelta, _ := s.env.SecondBestArch(t)
-	s.updateHD(t, archs, bestArch, bestDelta, secondDelta)
+	archs := s.archBuf
+	s.updateHD(archs, bestArch, bestDelta, secondDelta)
+	for a := range s.nod {
+		s.nod[a] = math.NaN()
+	}
 
 	var at float64
 	var seq int64
@@ -233,6 +251,7 @@ func (s *Sched) pushLocked(t *runtime.Task) {
 			s.bestRemaining[mem] += bestDelta
 		}
 		s.heaps[mem].Push(t.ID, heap.Score{Primary: gain, Secondary: prio})
+		s.syncQueued(mem)
 		st.members |= 1 << uint(mem)
 		inserted = true
 		if s.probe != nil {
@@ -249,11 +268,28 @@ func (s *Sched) pushLocked(t *runtime.Task) {
 	if !inserted {
 		panic(fmt.Sprintf("multiprio: task %d (%s) inserted into no heap", t.ID, t.Kind))
 	}
-	s.byID[t.ID] = t
+	if int(t.ID) >= len(s.tasks) {
+		grown := make([]*runtime.Task, max(int(t.ID)+1, 2*len(s.tasks)))
+		copy(grown, s.tasks)
+		s.tasks = grown
+	}
+	s.tasks[t.ID] = t
+}
+
+// syncQueued publishes heap mem's length to the lock-free empty check
+// of Pop. Callers hold mu and call it after every mutation of the heap.
+func (s *Sched) syncQueued(mem int) {
+	s.queued[mem].Store(int32(s.heaps[mem].Len()))
 }
 
 // Pop implements runtime.Scheduler (Algorithm 2).
 func (s *Sched) Pop(w runtime.WorkerInfo) *runtime.Task {
+	// An empty node is answered without the lock. Every heap mutation
+	// stores its length under mu, so a Pop that reads 0 is ordered
+	// before any Push still in flight, as if it had taken mu first.
+	if s.queued[w.Mem].Load() == 0 {
+		return nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
@@ -287,6 +323,7 @@ func (s *Sched) Pop(w runtime.WorkerInfo) *runtime.Task {
 			return nil
 		}
 		s.heaps[w.Mem].Remove(t.ID)
+		s.syncQueued(int(w.Mem))
 		st.members &^= 1 << uint(w.Mem)
 		s.readyCount[w.Mem]--
 		s.Evictions++
@@ -327,7 +364,7 @@ func (s *Sched) WorkerDown(w runtime.WorkerInfo) {
 	var orphans []*runtime.Task
 	for h.Len() > 0 {
 		id, _, _ := h.Pop()
-		t := s.byID[id]
+		t := s.tasks[id]
 		if t == nil {
 			continue // stale duplicate of an already-claimed task
 		}
@@ -341,10 +378,11 @@ func (s *Sched) WorkerDown(w runtime.WorkerInfo) {
 			s.bestRemaining[mem] -= st.bestDelta
 		}
 		if st.members == 0 {
-			delete(s.byID, t.ID)
+			s.tasks[t.ID] = nil
 			orphans = append(orphans, t)
 		}
 	}
+	s.syncQueued(int(mem))
 	// The node is gone for good: zero the counters outright so float
 	// accumulation error cannot leave a phantom horizon behind.
 	s.readyCount[mem] = 0
@@ -379,6 +417,7 @@ func (s *Sched) claim(t *runtime.Task) {
 			continue
 		}
 		s.heaps[mem].Remove(t.ID)
+		s.syncQueued(mem)
 		s.readyCount[mem]--
 		if s.env.Machine.MemArch(platform.MemID(mem)) == st.bestArch {
 			s.bestRemaining[mem] -= st.bestDelta
@@ -394,7 +433,7 @@ func (s *Sched) claim(t *runtime.Task) {
 		}
 	}
 	st.members = 0
-	delete(s.byID, t.ID)
+	s.tasks[t.ID] = nil
 }
 
 // mostLocalPrioTask returns the candidate the POP operation should
@@ -408,13 +447,13 @@ func (s *Sched) mostLocalPrioTask(mem platform.MemID) *runtime.Task {
 	}
 	if s.cfg.LocalityWindow == 1 {
 		id, _, _ := h.Peek()
-		return s.byID[id]
+		return s.tasks[id]
 	}
 	s.topBuf = h.TopNScored(s.topBuf[:0], s.cfg.LocalityWindow)
 	if len(s.topBuf) == 0 {
 		return nil
 	}
-	head := s.byID[s.topBuf[0].ID]
+	head := s.tasks[s.topBuf[0].ID]
 	if s.missingBytes(head, mem) == 0 {
 		// The head is already fully local: reordering can only hurt
 		// (on the RAM node, where every handle is resident, LS_SDH²
@@ -428,7 +467,7 @@ func (s *Sched) mostLocalPrioTask(mem platform.MemID) *runtime.Task {
 		if headScore.Primary-c.Score.Primary > s.cfg.Epsilon {
 			continue
 		}
-		t := s.byID[c.ID]
+		t := s.tasks[c.ID]
 		if t == nil {
 			// A duplicate left behind by lazy removal: the task was
 			// already claimed through another node's heap.
@@ -503,23 +542,62 @@ func (s *Sched) popCondition(t *runtime.Task, w runtime.WorkerInfo) (ok bool, co
 	return minHorizon > cost, cost, minHorizon
 }
 
+// estimate fills the PUSH scratch for task t with one δ estimate per
+// architecture that has a live worker: delta, and archBuf with the
+// eligible architectures. It returns the best architecture, its δ and
+// the second-best δ with the order and tie rules of Env.BestArch and
+// Env.SecondBestArch (the first of equal minima wins; +Inf never ranks).
+// ok is false when no live worker can run t.
+func (s *Sched) estimate(t *runtime.Task) (best platform.ArchID, bestDelta, secondDelta float64, ok bool) {
+	best, bestDelta, secondDelta = -1, math.Inf(1), math.Inf(1)
+	archs := s.archBuf[:0]
+	for a := range s.delta {
+		arch := platform.ArchID(a)
+		if s.env.LiveWorkersOf(arch) == 0 {
+			s.delta[a] = math.NaN()
+			continue
+		}
+		d := s.env.Delta(t, arch)
+		s.delta[a] = d
+		if t.CanRun(arch) {
+			archs = append(archs, arch)
+		}
+		switch {
+		case d < bestDelta:
+			secondDelta = bestDelta
+			best, bestDelta = arch, d
+		case d < secondDelta:
+			secondDelta = d
+		}
+	}
+	s.archBuf = archs
+	return best, bestDelta, secondDelta, best >= 0
+}
+
+// deltaOf returns δ(t, a) from the PUSH scratch, estimating afresh only
+// for an architecture without live workers (Gain may be asked about one).
+func (s *Sched) deltaOf(t *runtime.Task, a platform.ArchID) float64 {
+	if d := s.delta[a]; !math.IsNaN(d) {
+		return d
+	}
+	return s.env.Delta(t, a)
+}
+
 // gain computes the gain heuristic of Eq. 1 for task t on architecture
 // a, normalized to [0, 1].
 func (s *Sched) gain(t *runtime.Task, a platform.ArchID) float64 {
-	archs := s.eligibleArchs(t)
-	bestArch, bestDelta, _ := s.env.BestArch(t)
-	_, secondDelta, _ := s.env.SecondBestArch(t)
-	return s.gainWith(t, a, len(archs), bestArch, bestDelta, secondDelta)
+	bestArch, bestDelta, secondDelta, _ := s.estimate(t)
+	return s.gainWith(t, a, len(s.archBuf), bestArch, bestDelta, secondDelta)
 }
 
-// gainWith is gain with the task-level inputs (eligible-architecture
-// count, best/second-best deltas) precomputed by the caller: Push scores
-// a task once per memory node and those inputs do not change across
-// nodes.
+// gainWith is gain with the task-level inputs (the delta scratch,
+// eligible-architecture count, best/second-best deltas) filled by
+// estimate: Push scores a task once per memory node and those inputs do
+// not change across nodes.
 func (s *Sched) gainWith(t *runtime.Task, a platform.ArchID, nArchs int, bestArch platform.ArchID, bestDelta, secondDelta float64) float64 {
 	if s.cfg.FlatGain {
 		// Ablation: plain affinity ratio, 1 on the fastest arch.
-		d := s.env.Delta(t, a)
+		d := s.deltaOf(t, a)
 		if d <= 0 || math.IsInf(d, 1) {
 			return 0
 		}
@@ -528,7 +606,7 @@ func (s *Sched) gainWith(t *runtime.Task, a platform.ArchID, nArchs int, bestArc
 	if nArchs <= 1 {
 		return 1
 	}
-	da := s.env.Delta(t, a)
+	da := s.deltaOf(t, a)
 	hd := s.hd[a]
 	if hd <= 0 {
 		return 0.5
@@ -550,14 +628,15 @@ func (s *Sched) gainWith(t *runtime.Task, a platform.ArchID, nArchs int, bestArc
 }
 
 // updateHD refreshes the per-architecture highest execution-time
-// difference with task t, before its gain is computed (the worked
-// example of Table II includes the current task in hd).
-func (s *Sched) updateHD(t *runtime.Task, archs []platform.ArchID, bestArch platform.ArchID, bestDelta, secondDelta float64) {
+// difference with the task estimate just scored, before its gain is
+// computed (the worked example of Table II includes the current task in
+// hd).
+func (s *Sched) updateHD(archs []platform.ArchID, bestArch platform.ArchID, bestDelta, secondDelta float64) {
 	if len(archs) <= 1 {
 		return
 	}
 	for _, a := range archs {
-		da := s.env.Delta(t, a)
+		da := s.delta[a]
 		var diff float64
 		if a == bestArch {
 			diff = math.Abs(secondDelta - da)
@@ -570,26 +649,18 @@ func (s *Sched) updateHD(t *runtime.Task, archs []platform.ArchID, bestArch plat
 	}
 }
 
-// eligibleArchs lists architectures that can run t and have workers,
-// into a scratch slice owned by the scheduler (valid until the next
-// call, which is safe under the global lock).
-func (s *Sched) eligibleArchs(t *runtime.Task) []platform.ArchID {
-	out := s.archBuf[:0]
-	for a := range s.env.Machine.Archs {
-		arch := platform.ArchID(a)
-		if t.CanRun(arch) && s.env.LiveWorkersOf(arch) > 0 {
-			out = append(out, arch)
-		}
-	}
-	s.archBuf = out
-	return out
-}
-
 // criticality computes the normalized NOD score of Eq. 2 for task t
 // restricted to architecture a: successors executable on a weighted by
-// the inverse of their predecessor counts on a.
+// the inverse of their predecessor counts on a. The raw NOD depends only
+// on t and a, so it is computed once per architecture per push and
+// shared by that architecture's memory nodes; maxNOD advances and
+// normalizes once per node, in node order, as the scores require.
 func (s *Sched) criticality(t *runtime.Task, a platform.ArchID) float64 {
-	nod := s.NOD(t, a)
+	nod := s.nod[a]
+	if math.IsNaN(nod) {
+		nod = s.NOD(t, a)
+		s.nod[a] = nod
+	}
 	if nod > s.maxNOD {
 		s.maxNOD = nod
 	}

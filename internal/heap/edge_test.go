@@ -1,6 +1,10 @@
 package heap
 
-import "testing"
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
 
 // TestRemoveWhileIterating walks a TopN snapshot and removes each
 // visited element: the lazy-removal pattern of the locality-aware POP
@@ -108,5 +112,134 @@ func TestTopNBeyondLen(t *testing.T) {
 		if err := h.Verify(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestDenseIndexDifferential drives Push, Remove, Update, Pop and Clear
+// with random ids from a small range (so ids are absent, present, and
+// reused after removal and after Clear) against a map-based reference,
+// checking the invariants after every operation.
+func TestDenseIndexDifferential(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		h := New(rng.Intn(8))
+		ref := map[int64]Score{}
+		for op := 0; op < 2000; op++ {
+			id := int64(rng.Intn(96))
+			sc := Score{Primary: float64(rng.Intn(8)), Secondary: float64(rng.Intn(8))}
+			switch k := rng.Intn(100); {
+			case k < 40:
+				if _, ok := ref[id]; ok {
+					continue
+				}
+				h.Push(id, sc)
+				ref[id] = sc
+			case k < 60:
+				_, ok := ref[id]
+				if got := h.Remove(id); got != ok {
+					t.Fatalf("seed %d op %d: Remove(%d) = %v, reference %v", seed, op, id, got, ok)
+				}
+				delete(ref, id)
+			case k < 80:
+				_, ok := ref[id]
+				if got := h.Update(id, sc); got != ok {
+					t.Fatalf("seed %d op %d: Update(%d) = %v, reference %v", seed, op, id, got, ok)
+				}
+				if ok {
+					ref[id] = sc
+				}
+			case k < 99:
+				got, gotSc, ok := h.Pop()
+				if ok != (len(ref) > 0) {
+					t.Fatalf("seed %d op %d: Pop ok = %v with %d in the reference", seed, op, ok, len(ref))
+				}
+				if !ok {
+					continue
+				}
+				for _, s := range ref {
+					if gotSc.Less(s) {
+						t.Fatalf("seed %d op %d: Pop returned %v below reference %v", seed, op, gotSc, s)
+					}
+				}
+				if ref[got] != gotSc {
+					t.Fatalf("seed %d op %d: Pop returned id %d with %v, reference holds %v", seed, op, got, gotSc, ref[got])
+				}
+				delete(ref, got)
+			default:
+				h.Clear()
+				clear(ref)
+			}
+			if err := h.Verify(); err != nil {
+				t.Fatalf("seed %d op %d: %v", seed, op, err)
+			}
+			if h.Len() != len(ref) {
+				t.Fatalf("seed %d op %d: Len %d, reference %d", seed, op, h.Len(), len(ref))
+			}
+			probe := int64(rng.Intn(128))
+			want, in := ref[probe]
+			if got, ok := h.Score(probe); ok != in || got != want || h.Contains(probe) != in {
+				t.Fatalf("seed %d op %d: Score(%d) = %v, %v; reference %v, %v", seed, op, probe, got, ok, want, in)
+			}
+		}
+	}
+}
+
+// TestAbsentIDs checks lookups of ids inside the index but absent,
+// beyond the index, and negative all report absence without panicking.
+func TestAbsentIDs(t *testing.T) {
+	h := New(0)
+	h.Push(3, Score{Primary: 1})
+	h.Push(5, Score{Primary: 2})
+	h.Remove(5)
+	for _, id := range []int64{0, 4, 5, 6, 1 << 20, math.MaxInt32 + 1, math.MaxInt64, -1, math.MinInt64} {
+		if h.Contains(id) {
+			t.Errorf("Contains(%d) = true", id)
+		}
+		if _, ok := h.Score(id); ok {
+			t.Errorf("Score(%d) reported present", id)
+		}
+		if h.Update(id, Score{}) {
+			t.Errorf("Update(%d) = true", id)
+		}
+		if h.Remove(id) {
+			t.Errorf("Remove(%d) = true", id)
+		}
+	}
+	if err := h.Verify(); err != nil || h.Len() != 1 {
+		t.Fatalf("heap disturbed by absent lookups: len %d, %v", h.Len(), err)
+	}
+}
+
+// TestPushOutOfRangePanics checks ids outside [0, MaxInt32] are rejected
+// at Push, before the index grows.
+func TestPushOutOfRangePanics(t *testing.T) {
+	for _, id := range []int64{-1, math.MinInt64, math.MaxInt32 + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Push(%d) did not panic", id)
+				}
+			}()
+			New(0).Push(id, Score{})
+		}()
+	}
+}
+
+// TestIDsReusedAfterClear checks Clear releases every id: the same ids
+// push again, in a different order, without a duplicate-push panic.
+func TestIDsReusedAfterClear(t *testing.T) {
+	h := New(2)
+	for id := int64(0); id < 40; id++ {
+		h.Push(id, Score{Primary: float64(id)})
+	}
+	h.Clear()
+	for id := int64(39); id >= 0; id-- {
+		h.Push(id, Score{Primary: float64(-id)})
+	}
+	if err := h.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if id, _, _ := h.Peek(); id != 0 || h.Len() != 40 {
+		t.Fatalf("after Clear and re-push: head %d, len %d; want head 0, len 40", id, h.Len())
 	}
 }

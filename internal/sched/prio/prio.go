@@ -14,10 +14,14 @@ import (
 
 // Sched is the prio policy. Create with New.
 type Sched struct {
-	mu   sync.Mutex
-	h    *heap.Heap
-	byID map[int64]*runtime.Task
-	seq  int64
+	mu sync.Mutex
+	h  *heap.Heap
+	// tasks maps a heap item id (the task ID) to its task; nil once
+	// claimed.
+	tasks []*runtime.Task
+	// ids is the reused top-n scratch of Pop.
+	ids []int64
+	seq int64
 }
 
 // New returns a prio scheduler.
@@ -31,7 +35,7 @@ func (s *Sched) Init(env *runtime.Env) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.h = heap.New(256)
-	s.byID = make(map[int64]*runtime.Task, 256)
+	s.tasks = nil
 	s.seq = 0
 }
 
@@ -45,7 +49,12 @@ func (s *Sched) Push(t *runtime.Task) {
 		Primary:   float64(t.Priority),
 		Secondary: -float64(s.seq),
 	})
-	s.byID[t.ID] = t
+	if int(t.ID) >= len(s.tasks) {
+		grown := make([]*runtime.Task, max(int(t.ID)+1, 2*len(s.tasks)))
+		copy(grown, s.tasks)
+		s.tasks = grown
+	}
+	s.tasks[t.ID] = t
 }
 
 // Pop implements runtime.Scheduler: the highest-priority task the
@@ -56,9 +65,9 @@ func (s *Sched) Pop(w runtime.WorkerInfo) *runtime.Task {
 	// Scan a bounded prefix for a runnable task; the heap rarely holds
 	// long runs of incompatible tasks in practice.
 	const scan = 64
-	ids := s.h.TopN(nil, scan)
-	for _, id := range ids {
-		t := s.byID[id]
+	s.ids = s.h.TopN(s.ids[:0], scan)
+	for _, id := range s.ids {
+		t := s.tasks[id]
 		if t == nil || !t.CanRun(w.Arch) {
 			continue
 		}
@@ -66,7 +75,7 @@ func (s *Sched) Pop(w runtime.WorkerInfo) *runtime.Task {
 			continue
 		}
 		s.h.Remove(id)
-		delete(s.byID, id)
+		s.tasks[id] = nil
 		return t
 	}
 	return nil
